@@ -463,16 +463,18 @@ let bench_sid_rebuild =
    process lookup, gate discipline, SDW check, content fetch, metering
    branch) with the observability switch on and off.  The off row is the seed-equivalent
    path: its only extra cost is the single disabled branch, so the two
-   rows must land within noise of each other.  The audit log is
-   disabled for both rows so neither accumulates records across
-   iterations. *)
+   rows must land within noise of each other.  The audit trail stays on,
+   as it ships: appending to it and reading its length cost the same at
+   any depth, and past its capacity it overwrites its oldest records. *)
 
 module Obs = Multics_obs.Obs
 
-let obs_bench_system, obs_bench_handle, obs_bench_segno =
+(* A booted kernel_6180 with one logged-in user and a segment it may
+   read and write: (system, handle, segment, home directory).  Every
+   dispatch bench below runs on one. *)
+let hot_fixture () =
   let open Multics_kernel in
   let system = System.create Config.kernel_6180 in
-  Audit_log.set_enabled (System.audit system) false;
   ignore
     (System.add_account system ~person:"Bench" ~project:"Perf" ~password:"pw"
        ~clearance:Multics_access.Label.unclassified);
@@ -481,15 +483,21 @@ let obs_bench_system, obs_bench_handle, obs_bench_segno =
     | Ok handle -> handle
     | Error e -> failwith (System.login_error_to_string e)
   in
-  let segno =
-    match
-      User_env.create_segment_at system ~handle ~path:">udd>Perf>Bench>hot"
-        ~acl:(Multics_access.Acl.of_strings [ ("Bench.Perf.*", "rew") ])
-        ~label:Multics_access.Label.unclassified
-    with
+  let env what = function
     | Ok segno -> segno
-    | Error e -> failwith (User_env.error_to_string e)
+    | Error e -> failwith (what ^ ": " ^ User_env.error_to_string e)
   in
+  let segno =
+    env "hot segment"
+      (User_env.create_segment_at system ~handle ~path:">udd>Perf>Bench>hot"
+         ~acl:(Multics_access.Acl.of_strings [ ("Bench.Perf.*", "rew") ])
+         ~label:Multics_access.Label.unclassified)
+  in
+  (system, handle, segno, env "home" (User_env.resolve_path system ~handle ~path:">udd>Perf>Bench"))
+
+let obs_bench_system, obs_bench_handle, obs_bench_segno =
+  let open Multics_kernel in
+  let system, handle, segno, _home = hot_fixture () in
   (match
      Api.Call.dispatch system ~handle (Api.Call.Write_word { segno; offset = 0; value = 42 })
    with
@@ -645,6 +653,94 @@ let time_iters n f =
     ignore (Sys.opaque_identity (f ()))
   done;
   Unix.gettimeofday () -. start
+
+(* ----- The audited dispatch gate (--smoke [dispatch]) -----
+
+   Dispatch in the default configuration, audit trail and obs recording
+   on: an admitted Read_word must cost the same on a fresh trail as on
+   one 100k records deep (at most 1.2x), and a stripped-gate refusal no
+   more than 1.1x the admitted call.  Trials alternate between the two
+   sides of each ratio; each ratio is of medians. *)
+
+let dispatch_fixture () =
+  let open Multics_kernel in
+  let system, handle, segno, home = hot_fixture () in
+  let read () =
+    ignore (Api.Call.dispatch system ~handle (Api.Call.Read_word { segno; offset = 0 }))
+  in
+  let list () =
+    ignore (Api.Call.dispatch system ~handle (Api.Call.List_directory { dir_segno = home }))
+  in
+  (system, read, list)
+
+let git_revision () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+      let rev = try String.trim (input_line ic) with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if rev = "" then "unknown" else rev
+
+let smoke_dispatch () =
+  let open Multics_kernel in
+  Obs.set_enabled true;
+  let iters = 5_000 and trials = 9 and deep_depth = 100_000 in
+  let median xs = List.nth (List.sort compare xs) (trials / 2) in
+  let ns t = t *. 1e9 /. float_of_int iters in
+  let deep_system, deep_read, _ = dispatch_fixture () in
+  while Audit_log.length (System.audit deep_system) < deep_depth do
+    deep_read ()
+  done;
+  let shallow_depth = ref 0 in
+  let depth_pairs =
+    List.init trials (fun _ ->
+        let shallow_system, shallow_read, _ = dispatch_fixture () in
+        ignore (time_iters 100 shallow_read);
+        shallow_depth := Audit_log.length (System.audit shallow_system);
+        let shallow = time_iters iters shallow_read in
+        (shallow, time_iters iters deep_read))
+  in
+  let shallow_t = median (List.map fst depth_pairs) in
+  let deep_t = median (List.map snd depth_pairs) in
+  let depth_ratio = deep_t /. shallow_t and max_depth_ratio = 1.2 in
+  let spec_system, read, list = dispatch_fixture () in
+  let config = System.config spec_system in
+  let kept =
+    List.filter (fun g -> g <> "list_directory")
+      (List.map (fun e -> e.Gate.gate_name) (Gate.catalog config))
+  in
+  System.set_gate_mask spec_system (Some (System.gate_mask_make ~name:"no-list" ~gates:kept));
+  ignore (time_iters 1_000 read);
+  ignore (time_iters 1_000 list);
+  let refusal_pairs =
+    List.init trials (fun _ ->
+        let refused = time_iters iters list in
+        (refused, time_iters iters read))
+  in
+  let refusal_t = median (List.map fst refusal_pairs) in
+  let grant_t = median (List.map snd refusal_pairs) in
+  let refusal_ratio = refusal_t /. grant_t and max_refusal_ratio = 1.1 in
+  Printf.printf
+    "bench smoke: [dispatch] admitted read_word %.1f ns at trail depth %d vs %.1f ns at depth %d (%.2fx, required <= %.1fx); stripped-gate refusal %.1f ns vs admitted %.1f ns (%.2fx, required <= %.1fx)\n"
+    (ns shallow_t) !shallow_depth (ns deep_t) deep_depth depth_ratio max_depth_ratio (ns refusal_t)
+    (ns grant_t) refusal_ratio max_refusal_ratio;
+  if depth_ratio > max_depth_ratio then begin
+    print_endline "bench smoke: FAIL — admitted dispatch grows with the audit trail";
+    exit 1
+  end;
+  if refusal_ratio > max_refusal_ratio then begin
+    print_endline "bench smoke: FAIL — a stripped-gate refusal costs more than a grant";
+    exit 1
+  end;
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_dispatch.json" in
+  Printf.fprintf oc
+    {|{"bench": "dispatch", "unix_time": %.0f, "git_rev": "%s", "nproc": %d, "trials": %d, "iters": %d, "shallow_depth": %d, "deep_depth": %d, "admitted_shallow_ns": %.2f, "admitted_deep_ns": %.2f, "depth_ratio": %.3f, "max_depth_ratio": %.2f, "stripped_refusal_ns": %.2f, "admitted_ns": %.2f, "refusal_ratio": %.3f, "max_refusal_ratio": %.2f}
+|}
+    (Unix.time ()) (git_revision ()) (Domain.recommended_domain_count ()) trials iters
+    !shallow_depth deep_depth (ns shallow_t) (ns deep_t) depth_ratio max_depth_ratio (ns refusal_t)
+    (ns grant_t) refusal_ratio max_refusal_ratio;
+  close_out oc;
+  print_endline "bench smoke: appended to BENCH_dispatch.json"
 
 let smoke () =
   let iters = 300_000 and trials = 5 in
@@ -891,46 +987,10 @@ let smoke () =
      kernel state is touched). *)
   let module Spec = Multics_spec.Spec in
   let spec_config = Multics_kernel.Config.kernel_6180 in
-  let spec_system = Multics_kernel.System.create spec_config in
-  (* Retaining half a million audit records would time the GC, not the
-     mask: this system's trail is disabled like the other hot-loop
-     bench systems'. *)
-  Multics_kernel.Audit_log.set_enabled (Multics_kernel.System.audit spec_system) false;
-  ignore
-    (Multics_kernel.System.add_account spec_system ~person:"Bench" ~project:"Spec" ~password:"pw"
-       ~clearance:Multics_access.Label.unclassified);
-  let spec_handle =
-    match Multics_kernel.System.login spec_system ~person:"Bench" ~project:"Spec" ~password:"pw" with
-    | Ok h -> h
-    | Error _ -> failwith "bench: spec login"
-  in
-  let spec_home =
-    match
-      Multics_kernel.User_env.resolve_path spec_system ~handle:spec_handle ~path:">udd>Spec>Bench"
-    with
-    | Ok segno -> segno
-    | Error _ -> failwith "bench: spec home"
-  in
-  let spec_data =
-    match
-      Multics_kernel.Api.Call.dispatch spec_system ~handle:spec_handle
-        (Multics_kernel.Api.Call.Create_segment
-           {
-             dir_segno = spec_home;
-             name = "data";
-             acl = Multics_access.Acl.of_strings [ ("Bench.Spec.*", "rew") ];
-             label = Multics_access.Label.unclassified;
-             brackets = None;
-           })
-    with
-    | Ok (Multics_kernel.Api.Call.Segno segno) -> segno
-    | _ -> failwith "bench: spec data segment"
-  in
-  let read_once () =
-    ignore
-      (Multics_kernel.Api.Call.dispatch spec_system ~handle:spec_handle
-         (Multics_kernel.Api.Call.Read_word { segno = spec_data; offset = 0 }))
-  in
+  (* The audit trail stays on.  What slows dispatch on a long trail is
+     an O(n) walk of the trail for its length on every call, not the
+     GC; the ring trail's length is a field read. *)
+  let spec_system, read_once, refuse_once = dispatch_fixture () in
   let spec_iters = 20_000 in
   ignore (time_iters 1_000 read_once);
   let unmasked_t = median (List.init trials (fun _ -> time_iters spec_iters read_once)) in
@@ -945,11 +1005,6 @@ let smoke () =
   in
   Spec.Specialisation.apply spec_system spec;
   let masked_t = median (List.init trials (fun _ -> time_iters spec_iters read_once)) in
-  let refuse_once () =
-    ignore
-      (Multics_kernel.Api.Call.dispatch spec_system ~handle:spec_handle
-         (Multics_kernel.Api.Call.List_directory { dir_segno = spec_home }))
-  in
   let refusal_t = median (List.init trials (fun _ -> time_iters spec_iters refuse_once)) in
   Spec.Specialisation.clear spec_system;
   let spec_overhead = masked_t /. unmasked_t in
@@ -975,6 +1030,7 @@ let smoke () =
     (Spec.Specialisation.full_count spec);
   close_out oc;
   print_endline "bench smoke: appended to BENCH_e22_spec.json";
+  smoke_dispatch ();
   print_endline "bench smoke: OK"
 
 let () =

@@ -598,12 +598,9 @@ let cmd_spec_status shell =
   if shell.profiling <> None then say "profiling in progress (stop with: spec profile stop NAME)"
 
 let cmd_audit shell n =
-  let records = Audit_log.records (System.audit shell.system) in
-  let tail =
-    let len = List.length records in
-    List.filteri (fun i _ -> i >= len - n) records
-  in
-  List.iter (fun r -> say "%s" (Fmt.str "%a" Audit_log.pp_record r)) tail
+  List.iter
+    (fun r -> say "%s" (Fmt.str "%a" Audit_log.pp_record r))
+    (Audit_log.tail (System.audit shell.system) n)
 
 (* The operator-command families parse through [Multics_shellcmd]: a
    typed command or a typed error, never an unmatched arm or an

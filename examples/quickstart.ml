@@ -112,7 +112,7 @@ let () =
   step "the audit trail saw everything";
   let audit = System.audit system in
   Printf.printf "   %d mediated operations, %d refusals:\n" (Audit_log.length audit)
-    (Audit_log.refusal_count audit);
+    (Audit_log.refused audit);
   List.iter
     (fun r -> Printf.printf "     %s\n" (Fmt.str "%a" Audit_log.pp_record r))
     (Audit_log.refusals audit);

@@ -168,45 +168,109 @@ let obs_gate_refusals = Obs.Local.counter "gate.refusals"
 let obs_gate_cycles = Obs.Local.counter "gate.cycles"
 let obs_audit_depth = Obs.Local.counter "audit.depth"
 let obs_dispatch_span = Obs.Local.span "gate.dispatch"
+
+(* An operation a call is mediated under: its name, its dense gate id
+   (none for hardware gate calls and operator actions, which are not
+   supervisor entries) and its [gate.<name>.*] counter handles.  Every
+   name dispatch can mediate under is interned here at module
+   initialisation, so a call resolves its operation with one hash and
+   its counters with no string building and no registry lookup. *)
+module Names = Hashtbl.Make (String)
+
+type op = {
+  op_name : string;
+  op_gate : Gate.id option;
+  op_calls : Obs.Counter.t Obs.Local.handle;
+  op_refusals : Obs.Counter.t Obs.Local.handle;
+}
+
+let make_op name =
+  {
+    op_name = name;
+    op_gate = Gate.id name;
+    op_calls = Obs.Local.counter ("gate." ^ name ^ ".calls");
+    op_refusals = Obs.Local.counter ("gate." ^ name ^ ".refusals");
+  }
+
+(* Process management is a set of supervisor gates under privileged
+   login and of subsystem entries under unified login. *)
+let login_gates =
+  [
+    "create_process"; "destroy_process"; "new_proc"; "proc_info"; "list_processes";
+    "operator_message";
+  ]
+
+let ops =
+  let ops = Names.create 128 in
+  List.iter
+    (fun name -> Names.replace ops name (make_op name))
+    (List.map Gate.name Gate.all
+    @ [
+        "subsystem_entry"; "subsystem_exit"; "fault_control"; "fault_status"; "fault_clear";
+        "salvage"; "probe_access"; "cache_status"; "cache_clear"; "sched_status"; "sched_tune";
+        "smp_status";
+      ]
+    @ List.map (fun gate -> "subsystem_entry:" ^ gate) login_gates
+    @ List.concat_map
+        (fun device ->
+          List.map
+            (fun op -> Printf.sprintf "%s_%s" (Multics_io.Device.name device) op)
+            [ "attach"; "io"; "detach" ])
+        Multics_io.Device.all);
+  ops
+
+(* The table above lists every name dispatch produces; a name outside
+   it would still be mediated and metered, through fresh handles. *)
+let op_of name = match Names.find ops name with op -> op | exception Not_found -> make_op name
+
 (* One record per mediated call, written after the audit record so the
    audit-depth gauge includes it.  Mediation cycles are charged at the
    configured processor's cross-ring round-trip price — the same
    accounting {!Session} applies, so snapshot totals and the E13 table
    agree. *)
-let meter system ~operation ~refused =
+let meter system op ~refused =
   if Obs.enabled () then begin
     let cycles = Cost.round_trip_call_cost (System.cost system) ~cross_ring:true in
     Obs.Counter.incr (obs_gate_calls ());
     Obs.Counter.incr ~by:cycles (obs_gate_cycles ());
     Obs.Span.record (obs_dispatch_span ()) ~cycles;
-    Obs.Counter.incr (Obs.Registry.counter (Obs.Registry.global ()) ("gate." ^ operation ^ ".calls"));
-    let config = (System.config system).Config.name in
-    Obs.Counter.incr
-      (Obs.Registry.counter (Obs.Registry.global ()) ("config." ^ config ^ ".gate.calls"));
-    Obs.Counter.incr ~by:cycles
-      (Obs.Registry.counter (Obs.Registry.global ()) ("config." ^ config ^ ".gate.cycles"));
+    Obs.Counter.incr (op.op_calls ());
+    let config = System.gate_meters system in
+    Obs.Counter.incr (config.Gate.config_calls ());
+    Obs.Counter.incr ~by:cycles (config.Gate.config_cycles ());
     if refused then begin
       Obs.Counter.incr (obs_gate_refusals ());
-      Obs.Counter.incr
-        (Obs.Registry.counter (Obs.Registry.global ()) ("gate." ^ operation ^ ".refusals"))
+      Obs.Counter.incr (op.op_refusals ())
     end;
     Obs.Counter.set (obs_audit_depth ()) (Audit_log.length (System.audit system))
   end
 
+(* The audit record of a call: the error itself is stored, and rendered
+   only when the trail is read. *)
+let audit system op ?at ?target ~subject result =
+  Audit_log.log ?at ?target (System.audit system) ~subject ~operation:op.op_name
+    ~verdict:
+      (match result with
+      | Ok _ -> Audit_log.Granted
+      | Error e -> Audit_log.Refused_by (error_to_string, e))
+
 (* ----- The gate discipline ----- *)
 
-let gate_check system (p : System.proc) ~gate =
-  match Gate.find (System.config system) ~gate_name:gate with
-  | None -> Error (Gate_absent gate)
-  | Some entry ->
-      (* A specialised kernel simply does not have its stripped gates:
-         the mask check sits here, before the ring check and before
-         any body runs, so a stripped entry refuses exactly like a
-         removed mechanism's — [Gate_absent], audited, no kernel
-         state touched. *)
-      if not (System.gate_admitted system ~gate) then Error (Gate_absent gate)
-      else if Ring.to_int p.System.ring <= Ring.to_int entry.Gate.call_top then Ok ()
-      else Error (Gate_ring_denied { gate; ring = Ring.to_int p.System.ring })
+let gate_check system (p : System.proc) op =
+  match op.op_gate with
+  | None -> Error (Gate_absent op.op_name)
+  | Some id -> (
+      match Gate.lookup (Gate.table (System.config system)) id with
+      | None -> Error (Gate_absent op.op_name)
+      | Some entry ->
+          (* A specialised kernel simply does not have its stripped
+             gates: the mask check sits here, before the ring check and
+             before any body runs, so a stripped entry refuses exactly
+             like a removed mechanism's — [Gate_absent], audited, no
+             kernel state touched. *)
+          if not (System.gate_admitted_id system id) then Error (Gate_absent op.op_name)
+          else if Ring.to_int p.System.ring <= Ring.to_int entry.Gate.call_top then Ok ()
+          else Error (Gate_ring_denied { gate = op.op_name; ring = Ring.to_int p.System.ring }))
 
 (* Wrap one gate call: locate the process, enforce the gate
    discipline, run the body, and write the audit and observability
@@ -218,33 +282,25 @@ let gate_check system (p : System.proc) ~gate =
    dispatch arms consult [Gate_abort] after their hierarchy update
    (a mid-dispatch crash, leaving partial state for the salvager).
    Neither path can widen what the reference monitor granted. *)
-let call system ~handle ~gate ~target body =
+let call system ~handle ~gate ?at ?target body =
+  let op = op_of gate in
   match System.proc system handle with
   | None ->
-      meter system ~operation:gate ~refused:true;
+      meter system op ~refused:true;
       Error (No_such_process handle)
-  | Some p -> (
+  | Some p ->
       let subject = System.subject_of p in
-      match gate_check system p ~gate with
-      | Error e ->
-          Audit_log.log (System.audit system) ~subject ~operation:gate ~target
-            ~verdict:(Audit_log.Refused (error_to_string e));
-          meter system ~operation:gate ~refused:true;
-          Error e
-      | Ok () ->
-          let result =
+      let result =
+        match gate_check system p op with
+        | Error e -> Error e
+        | Ok () ->
             if System.fault_fires system Multics_fault.Fault.Gate_deny then
               Error (Fault_injected { site = "gate.deny"; operation = gate })
             else body p subject
-          in
-          let verdict =
-            match result with
-            | Ok _ -> Audit_log.Granted
-            | Error e -> Audit_log.Refused (error_to_string e)
-          in
-          Audit_log.log (System.audit system) ~subject ~operation:gate ~target ~verdict;
-          meter system ~operation:gate ~refused:(Result.is_error result);
-          result)
+      in
+      audit system op ?at ?target ~subject result;
+      meter system op ~refused:(Result.is_error result);
+      result
 
 (* Consulted by the mutating dispatch arms right after their hierarchy
    update succeeded: an injected abort records what the kernel knew in
@@ -288,21 +344,17 @@ let uid_of_segno (p : System.proc) segno = kst_result (Kst.uid_of_segno p.System
 
 (* Hardware gate calls (subsystem entry/exit): not supervisor entries,
    but still audited and metered. *)
-let call_hardware system ~handle ~operation ~target body =
+let call_hardware system ~handle ~operation ?at ?target body =
+  let op = op_of operation in
   match System.proc system handle with
   | None ->
-      meter system ~operation ~refused:true;
+      meter system op ~refused:true;
       Error (No_such_process handle)
   | Some p ->
       let subject = System.subject_of p in
       let result = body p in
-      let verdict =
-        match result with
-        | Ok _ -> Audit_log.Granted
-        | Error e -> Audit_log.Refused (error_to_string e)
-      in
-      Audit_log.log (System.audit system) ~subject ~operation ~target ~verdict;
-      meter system ~operation ~refused:(Result.is_error result);
+      audit system op ?at ?target ~subject result;
+      meter system op ~refused:(Result.is_error result);
       result
 
 (* Process-management operations are supervisor gates under the
@@ -558,7 +610,7 @@ module Call = struct
             in
             Ok (Segno (System.install_known system p ~uid)))
     | Terminate { segno } ->
-        call system ~handle ~gate:"terminate" ~target:(string_of_int segno) (fun p _subject ->
+        call system ~handle ~gate:"terminate" ~at:(Audit_log.Segno segno) (fun p _subject ->
             let* () = kst_result (Kst.terminate p.System.kst segno) in
             Ok Done)
     | Create_segment { dir_segno; name; acl; label; brackets } ->
@@ -603,7 +655,7 @@ module Call = struct
             in
             Ok Done)
     | List_directory { dir_segno } ->
-        call system ~handle ~gate:"list_directory" ~target:(string_of_int dir_segno)
+        call system ~handle ~gate:"list_directory" ~at:(Audit_log.Segno dir_segno)
           (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* entries =
@@ -631,13 +683,13 @@ module Call = struct
        descriptor for the object is recomputed, so a revoked grant
        cannot survive in any process's SDW. *)
     | Set_acl { segno; acl } ->
-        call system ~handle ~gate:"set_acl" ~target:(string_of_int segno) (fun p subject ->
+        call system ~handle ~gate:"set_acl" ~at:(Audit_log.Segno segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_acl (System.hierarchy system) ~subject ~uid ~acl) in
             System.setfaults system ~uid;
             Ok Done)
     | Set_brackets { segno; brackets } ->
-        call system ~handle ~gate:"set_brackets" ~target:(string_of_int segno) (fun p subject ->
+        call system ~handle ~gate:"set_brackets" ~at:(Audit_log.Segno segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
               fs_result (Hierarchy.set_brackets (System.hierarchy system) ~subject ~uid ~brackets)
@@ -645,7 +697,7 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_gate_bound { segno; gate_bound } ->
-        call system ~handle ~gate:"set_gate_bound" ~target:(string_of_int segno)
+        call system ~handle ~gate:"set_gate_bound" ~at:(Audit_log.Segno segno)
           (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
@@ -655,14 +707,14 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_quota { segno; quota } ->
-        call system ~handle ~gate:"set_quota" ~target:(string_of_int segno) (fun p subject ->
+        call system ~handle ~gate:"set_quota" ~at:(Audit_log.Segno segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_quota (System.hierarchy system) ~subject ~uid ~quota) in
             Ok Done)
     (* ----- Content references (SDW-checked, as the hardware does) ----- *)
     | Read_word { segno; offset } ->
         call system ~handle ~gate:"read_word"
-          ~target:(Printf.sprintf "%d|%d" segno offset)
+          ~at:(Audit_log.Offset (segno, offset))
           (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Read in
             let* uid = uid_of_segno p segno in
@@ -671,7 +723,7 @@ module Call = struct
             | None -> Error (Fs (Hierarchy.Not_a_segment (string_of_int segno))))
     | Write_word { segno; offset; value } ->
         call system ~handle ~gate:"write_word"
-          ~target:(Printf.sprintf "%d|%d" segno offset)
+          ~at:(Audit_log.Offset (segno, offset))
           (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Write in
             let* uid = uid_of_segno p segno in
@@ -777,13 +829,13 @@ module Call = struct
             let* () = rnt_result (Rnt.unbind p.System.rnt ~name) in
             Ok Done)
     | List_reference_names { segno } ->
-        call system ~handle ~gate:"list_reference_names" ~target:(string_of_int segno)
+        call system ~handle ~gate:"list_reference_names" ~at:(Audit_log.Segno segno)
           (fun p _subject -> Ok (Names (Rnt.names_for_segno p.System.rnt ~segno)))
     | Get_working_dir ->
         call system ~handle ~gate:"get_working_dir" ~target:"wd" (fun p _subject ->
             Ok (Segno (System.install_known system p ~uid:p.System.working_dir)))
     | Set_working_dir { dir_segno } ->
-        call system ~handle ~gate:"set_working_dir" ~target:(string_of_int dir_segno)
+        call system ~handle ~gate:"set_working_dir" ~at:(Audit_log.Segno dir_segno)
           (fun p _subject ->
             let* uid = uid_of_segno p dir_segno in
             p.System.working_dir <- uid;
@@ -794,7 +846,7 @@ module Call = struct
     (* ----- Linker gates (present only while the linker is in the kernel) ----- *)
     | Snap_link { segno; link_index } ->
         call system ~handle ~gate:"snap_link"
-          ~target:(Printf.sprintf "%d#%d" segno link_index)
+          ~at:(Audit_log.Link (segno, link_index))
           (fun p subject ->
             let* from_uid = uid_of_segno p segno in
             let linker = System.linker system in
@@ -810,7 +862,7 @@ module Call = struct
                 Ok (Snapped { segno = target_segno; offset })
             | other -> Error (Link_failed other))
     | List_links { segno } ->
-        call system ~handle ~gate:"list_links" ~target:(string_of_int segno) (fun p _subject ->
+        call system ~handle ~gate:"list_links" ~at:(Audit_log.Segno segno) (fun p _subject ->
             let* uid = uid_of_segno p segno in
             match Object_seg.Store.get (System.store system) ~uid with
             | None -> Ok (Links [])

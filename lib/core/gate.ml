@@ -111,32 +111,96 @@ let unified_login_gates = List.map (user_gate "login") [ "enter_subsystem"; "log
 let page_mechanism_gates =
   List.map (ring1_gate "page-mechanism") [ "pm_get_usage"; "pm_move_to_bulk"; "pm_free_counts" ]
 
-let catalog (config : Config.t) =
-  directory_control @ segment_content @ ipc
-  @ (match config.Config.linker with
-    | Multics_link.Linker.In_kernel -> linker_gates
-    | Multics_link.Linker.In_user_ring -> [])
-  @ (match config.Config.naming with
-    | Multics_link.Rnt.In_kernel -> naming_gates
-    | Multics_link.Rnt.In_user_ring -> [])
-  @ (match config.Config.io with
-    | Config.Device_drivers -> device_gates
-    | Config.Network_only -> network_gates)
-  @ (match config.Config.login with
-    | Config.Privileged_login -> privileged_login_gates
-    | Config.Unified_subsystem_entry -> unified_login_gates)
-  @
-  match config.Config.page_policy with
-  | Config.Policy_in_ring0 -> []
-  | Config.Policy_in_ring1 -> page_mechanism_gates
+(* ----- The compiled table -----
 
-let count config = List.length (catalog config)
+   The universe of gate names is static: every group above is a literal
+   list.  Each distinct name gets a dense id once, at module
+   initialisation (the interning move [Sid] makes for subjects), and
+   each of the 32 catalogs the five surface-shaping configuration
+   choices can select is compiled into an id-indexed table.  [find] is
+   then one hash of the name and one array load, and a specialisation
+   mask is a bitset over the same ids. *)
+
+type id = int
+
+module Names = Hashtbl.Make (String)
+
+let universe =
+  let seen = Names.create 128 in
+  List.concat
+    [
+      directory_control;
+      segment_content;
+      ipc;
+      linker_gates;
+      naming_gates;
+      device_gates;
+      network_gates;
+      privileged_login_gates;
+      unified_login_gates;
+      page_mechanism_gates;
+    ]
+  |> List.filter (fun e ->
+         let fresh = not (Names.mem seen e.gate_name) in
+         Names.replace seen e.gate_name ();
+         fresh)
+  |> Array.of_list
+
+let ids =
+  let ids = Names.create 128 in
+  Array.iteri (fun id e -> Names.replace ids e.gate_name id) universe;
+  ids
+
+let id_count = Array.length universe
+
+let all = List.init id_count Fun.id
+
+let id gate_name = Names.find_opt ids gate_name
+
+let name id = universe.(id).gate_name
+
+type table = { entries : entry list; by_id : entry option array; size : int }
+
+(* The catalog shape: one bit per surface-shaping choice. *)
+let shape (config : Config.t) =
+  let bit b on = if on then b else 0 in
+  bit 1 (config.Config.linker = Multics_link.Linker.In_kernel)
+  lor bit 2 (config.Config.naming = Multics_link.Rnt.In_kernel)
+  lor bit 4 (config.Config.io = Config.Device_drivers)
+  lor bit 8 (config.Config.login = Config.Privileged_login)
+  lor bit 16 (config.Config.page_policy = Config.Policy_in_ring1)
+
+let compile shape =
+  let has bit = shape land bit <> 0 in
+  let entries =
+    directory_control @ segment_content @ ipc
+    @ (if has 1 then linker_gates else [])
+    @ (if has 2 then naming_gates else [])
+    @ (if has 4 then device_gates else network_gates)
+    @ (if has 8 then privileged_login_gates else unified_login_gates)
+    @ if has 16 then page_mechanism_gates else []
+  in
+  let by_id = Array.make id_count None in
+  List.iter (fun e -> by_id.(Names.find ids e.gate_name) <- Some e) entries;
+  { entries; by_id; size = List.length entries }
+
+let tables = Array.init 32 compile
+
+let table config = tables.(shape config)
+
+let lookup table id = table.by_id.(id)
+
+let catalog config = (table config).entries
+
+let count config = (table config).size
+
+let find config ~gate_name =
+  match Names.find ids gate_name with
+  | id -> lookup (table config) id
+  | exception Not_found -> None
 
 let user_callable_count config =
   List.length (List.filter (fun e -> Ring.equal e.call_top Ring.outermost) (catalog config))
-
-let find config ~gate_name =
-  List.find_opt (fun e -> e.gate_name = gate_name) (catalog config)
 
 let subsystems config =
   catalog config
@@ -149,3 +213,28 @@ let count_by_subsystem config =
       ( subsystem,
         List.length (List.filter (fun e -> e.subsystem = subsystem) (catalog config)) ))
     (subsystems config)
+
+(* ----- Per-configuration tallies -----
+
+   The [config.<name>.gate.calls] and [.gate.cycles] counters, as
+   domain-local handles made once per configuration name (a boot looks
+   them up; a gate call does not). *)
+
+type meters = {
+  config_calls : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
+  config_cycles : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
+}
+
+let meters_by_name : (string, meters) Hashtbl.t = Hashtbl.create 16
+let meters_lock = Mutex.create ()
+
+let meters (config : Config.t) =
+  let name = config.Config.name in
+  Mutex.protect meters_lock (fun () ->
+      match Hashtbl.find_opt meters_by_name name with
+      | Some m -> m
+      | None ->
+          let counter what = Multics_obs.Obs.Local.counter ("config." ^ name ^ ".gate." ^ what) in
+          let m = { config_calls = counter "calls"; config_cycles = counter "cycles" } in
+          Hashtbl.replace meters_by_name name m;
+          m)

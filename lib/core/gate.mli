@@ -1,7 +1,11 @@
 (** The gate table: user-available supervisor entry points per
     configuration.  Sized so the paper's removal proportions hold of
     the functional surface: 60 baseline gates, linker = 6 (10%),
-    linker + naming = 20 (one third). *)
+    linker + naming = 20 (one third).
+
+    Every gate name has a dense {!id}, fixed at module initialisation,
+    and every configuration's catalog is compiled once into an
+    id-indexed {!table}. *)
 
 open Multics_machine
 
@@ -20,7 +24,45 @@ val user_callable_count : Config.t -> int
     page-mechanism interface). *)
 
 val find : Config.t -> gate_name:string -> entry option
+(** One hash of the name and one array load. *)
 
 val subsystems : Config.t -> string list
 
 val count_by_subsystem : Config.t -> (string * int) list
+
+(** {1 Dense gate ids} *)
+
+type id = private int
+
+val id_count : int
+(** Distinct gate names across every configuration's catalog; ids run
+    from 0 to [id_count - 1]. *)
+
+val all : id list
+(** Every id, ascending. *)
+
+val id : string -> id option
+(** [None] for a name no configuration has as a gate. *)
+
+val name : id -> string
+
+type table
+(** A configuration's catalog, indexed by id. *)
+
+val table : Config.t -> table
+(** Compiled at module initialisation; this only selects it. *)
+
+val lookup : table -> id -> entry option
+(** An array load; allocates nothing. *)
+
+(** {1 Per-configuration tallies} *)
+
+type meters = {
+  config_calls : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
+      (** [config.<name>.gate.calls] *)
+  config_cycles : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
+      (** [config.<name>.gate.cycles] *)
+}
+
+val meters : Config.t -> meters
+(** The handles for the configuration's name, made once per name. *)

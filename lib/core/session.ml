@@ -32,7 +32,7 @@ type t = {
   mutable gate_cycles : int;
   mutable compute_cycles : int;
   mutable kernel_entries : int;  (** actual supervisor entries (audit-derived) *)
-  mutable audit_mark : int;  (** audit-log length already accounted *)
+  mutable audit_mark : int;  (** audit records ever logged, already accounted *)
 }
 
 let boot ?(virtual_processors = 10) ?(core = 16) ?(bulk = 64) ?(disk = 1024) config =
@@ -98,7 +98,7 @@ let words_per_page t = Multics_fs.Hierarchy.words_per_page (System.hierarchy t.s
 let run_user t ~handle program =
   Sim.spawn t.sim ~name:(Program.name program) (fun pid ->
       (* Absorb audit records that predate this program (logins etc.). *)
-      t.audit_mark <- max t.audit_mark (Audit_log.length (System.audit t.system));
+      t.audit_mark <- max t.audit_mark (Audit_log.logged (System.audit t.system));
       let on_compute cycles =
         t.compute_cycles <- t.compute_cycles + cycles;
         Sim.compute cycles
@@ -106,8 +106,10 @@ let run_user t ~handle program =
       let on_gate _step =
         (* Each audited record is one supervisor entry: one gate call
            plus its return.  A user-ring resolve shows up as several
-           initiate entries — the footnote-7 effect E13 measures. *)
-        let len = Audit_log.length (System.audit t.system) in
+           initiate entries — the footnote-7 effect E13 measures.  The
+           monotone [logged] total keeps counting once the trail's ring
+           is full and its retained length stops growing. *)
+        let len = Audit_log.logged (System.audit t.system) in
         let crossings = max 0 (len - t.audit_mark) in
         t.audit_mark <- len;
         t.kernel_entries <- t.kernel_entries + crossings;

@@ -63,21 +63,35 @@ type journal_entry = {
 }
 
 (* A specialised gate surface: the set of gate names a specialised
-   kernel admits.  Plain strings so the mask can live here, below
+   kernel admits, as a bitset over the dense gate ids (names no
+   configuration has as a gate are kept aside, sorted, so the mask
+   still lists exactly what it was made from).  It lives here, below
    lib/spec (which compiles profiles into masks) — the same layering
    trick as [scheduler_control].  With no mask installed the catalog
    alone decides, byte for byte the unspecialised behaviour. *)
-type gate_mask = { mask_name : string; mask_admitted : (string, unit) Hashtbl.t }
+type gate_mask = { mask_name : string; mask_bits : Bytes.t; mask_others : string list }
+
+let mask_mem m (id : Gate.id) =
+  let id = (id :> int) in
+  Char.code (Bytes.unsafe_get m.mask_bits (id lsr 3)) land (1 lsl (id land 7)) <> 0
 
 let gate_mask_make ~name ~gates =
-  let mask_admitted = Hashtbl.create (max 8 (List.length gates)) in
-  List.iter (fun g -> Hashtbl.replace mask_admitted g ()) gates;
-  { mask_name = name; mask_admitted }
+  let mask_bits = Bytes.make ((Gate.id_count + 7) / 8) '\000' in
+  let admit (id : Gate.id) =
+    let id = (id :> int) in
+    let byte = Char.code (Bytes.get mask_bits (id lsr 3)) in
+    Bytes.set mask_bits (id lsr 3) (Char.chr (byte lor (1 lsl (id land 7))))
+  in
+  List.iter (fun g -> Option.iter admit (Gate.id g)) gates;
+  let others = List.filter (fun g -> Gate.id g = None) gates in
+  { mask_name = name; mask_bits; mask_others = List.sort_uniq String.compare others }
 
 let gate_mask_name m = m.mask_name
 
 let gate_mask_gates m =
-  Hashtbl.fold (fun g () acc -> g :: acc) m.mask_admitted [] |> List.sort String.compare
+  List.filter_map (fun id -> if mask_mem m id then Some (Gate.name id) else None) Gate.all
+  |> List.rev_append m.mask_others
+  |> List.sort String.compare
 
 type t = {
   config : Config.t;
@@ -108,6 +122,7 @@ type t = {
       (** the installed specialisation, if any; consulted by the gate
           check so a stripped gate refuses before any kernel state is
           touched *)
+  gate_meters : Gate.meters;  (** this configuration's gate tallies *)
 }
 
 (* The traffic controller registers itself through a neutral record of
@@ -143,6 +158,7 @@ let udd_dir t = t.udd_dir
 let pdd_dir t = t.pdd_dir
 let io_buffers t = t.io_buffers
 let clock t = t.clock
+let gate_meters t = t.gate_meters
 
 (* ----- Fault injection and the crash journal ----- *)
 
@@ -178,8 +194,13 @@ let set_gate_mask t mask = t.gate_mask <- mask
 
 let gate_mask t = t.gate_mask
 
+let gate_admitted_id t id = match t.gate_mask with None -> true | Some m -> mask_mem m id
+
 let gate_admitted t ~gate =
-  match t.gate_mask with None -> true | Some m -> Hashtbl.mem m.mask_admitted gate
+  match (t.gate_mask, Gate.id gate) with
+  | None, _ -> true
+  | Some m, Some id -> mask_mem m id
+  | Some m, None -> List.mem gate m.mask_others
 
 let fault_fires t site =
   match t.faults with
@@ -230,6 +251,7 @@ let create config =
       scheduler = None;
       plant = None;
       gate_mask = None;
+      gate_meters = Gate.meters config;
     }
   in
   let sys_acl = Acl.of_strings [ ("Initializer.*.*", "rew"); ("*.*.*", "r") ] in

@@ -113,11 +113,11 @@ val plant : t -> Multics_smp.Smp.t option
     gate names the specialised kernel still admits.  The gate check
     consults it after the catalog lookup, so a stripped gate refuses
     with [Gate_absent] before any kernel state is touched — fail
-    secure by construction.  Masks are plain strings so they live
-    below [lib/spec] (which compiles workload profiles into them),
-    the same layering trick as {!scheduler_control}.  With no mask
-    installed the catalog alone decides, byte for byte the
-    unspecialised behaviour. *)
+    secure by construction.  A mask is a bitset over the dense
+    {!Gate.id}s, made from gate names, so it lives below [lib/spec]
+    (which compiles workload profiles into them), the same layering
+    trick as {!scheduler_control}.  With no mask installed the catalog
+    alone decides, byte for byte the unspecialised behaviour. *)
 
 type gate_mask
 
@@ -136,6 +136,12 @@ val gate_mask : t -> gate_mask option
 
 val gate_admitted : t -> gate:string -> bool
 (** [true] when no mask is installed or the mask admits [gate]. *)
+
+val gate_admitted_id : t -> Gate.id -> bool
+(** {!gate_admitted} by dense id: one bit test. *)
+
+val gate_meters : t -> Gate.meters
+(** The configuration's [config.<name>.gate.*] counter handles. *)
 
 type journal_entry = {
   time : int;

@@ -416,11 +416,11 @@ let parity_run spec seed =
       | None -> () (* the ring-1 page-mechanism gates have no Call surface *)
       | Some t ->
           let request = t.t_make full_env prng in
-          let refusals_before = Audit_log.refusal_count (System.audit spec_env.system) in
+          let refusals_before = Audit_log.refused (System.audit spec_env.system) in
           (match Api.Call.dispatch spec_env.system ~handle:spec_env.handle request with
           | Error (Api.Gate_absent g) when g = gate -> ()
           | _ -> incr divergences);
-          if Audit_log.refusal_count (System.audit spec_env.system) <= refusals_before then
+          if Audit_log.refused (System.audit spec_env.system) <= refusals_before then
             incr divergences)
     (Spec.Specialisation.stripped spec);
   !divergences

@@ -86,7 +86,8 @@ module Histogram = struct
   let observe h v =
     if enabled () then begin
       let v = if v < 0 then 0 else v in
-      h.buckets.(bucket_index v) <- h.buckets.(bucket_index v) + 1;
+      let i = bucket_index v in
+      h.buckets.(i) <- h.buckets.(i) + 1;
       h.count <- h.count + 1;
       (* The running sum saturates at [max_int] instead of wrapping: a
          multi-billion-cycle run (an SMP sweep observing per-connect
@@ -176,9 +177,13 @@ module Span = struct
       Histogram.observe s.cycles cycles
     end
 
+  (* [enter] then [leave], behind one check of the switch. *)
   let record s ~cycles =
-    enter s;
-    leave s ~cycles
+    if enabled () then begin
+      s.entries <- s.entries + 1;
+      if s.live + 1 > s.max_depth then s.max_depth <- s.live + 1;
+      Histogram.observe s.cycles cycles
+    end
 
   let entries s = s.entries
   let live s = s.live

@@ -137,6 +137,7 @@ let mediation_signature system =
   let verdict_str = function
     | Audit_log.Granted -> "granted"
     | Audit_log.Refused why -> "refused:" ^ why
+    | Audit_log.Refused_by (render, cause) -> "refused:" ^ render cause
   in
   Audit_log.records (System.audit system)
   |> List.map (fun (r : Audit_log.record) ->
@@ -413,7 +414,7 @@ let run spec =
     | _, Some f -> (Site.granted f, Site.refused f)
     | Some sys, None ->
         let audit = System.audit sys in
-        (Audit_log.length audit - Audit_log.refusal_count audit, Audit_log.refusal_count audit)
+        (Audit_log.logged audit - Audit_log.refused audit, Audit_log.refused audit)
     | None, None -> (0, 0)
   in
   {

@@ -632,7 +632,7 @@ let status_table t =
          let counters =
            [
              ("audit.records", Audit_log.length audit);
-             ("audit.refused", Audit_log.refusal_count audit);
+             ("audit.refused", Audit_log.refused audit);
              ("processes", System.process_count m.system);
              ("replica.applied", m.applied);
              ("replica.mismatch", m.mismatches);

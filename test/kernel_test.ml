@@ -297,12 +297,12 @@ let test_io_gates_routed () =
 
 let test_audit_records_refusals () =
   let system, alice = boot () in
-  let before = Audit_log.refusal_count (System.audit system) in
+  let before = Audit_log.refused (System.audit system) in
   (match Gate_calls.read_word system ~handle:alice ~segno:999 ~offset:0 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus segno accepted");
   Alcotest.(check bool) "refusal audited" true
-    (Audit_log.refusal_count (System.audit system) > before)
+    (Audit_log.refused (System.audit system) > before)
 
 (* ----- Initialization ----- *)
 

@@ -78,7 +78,7 @@ let test_audit_queries () =
   Audit_log.log audit ~subject ~operation:"read" ~target:"y" ~verdict:Audit_log.Granted;
   Alcotest.(check int) "length" 3 (Audit_log.length audit);
   Alcotest.(check int) "grants" 2 (List.length (Audit_log.grants audit));
-  Alcotest.(check int) "refusals" 1 (Audit_log.refusal_count audit);
+  Alcotest.(check int) "refusals" 1 (Audit_log.refused audit);
   Alcotest.(check int) "by operation" 2
     (List.length (Audit_log.by_operation audit ~operation:"read"));
   (* Sequence numbers are stable and ordered. *)

@@ -240,14 +240,14 @@ let test_stripped_gates_refuse () =
     (fun (gate, request) ->
       if not (Spec.Specialisation.admits spec ~gate) then begin
         let audit = System.audit masked.system in
-        let refusals_before = Audit_log.refusal_count audit in
+        let refusals_before = Audit_log.refused audit in
         (match dispatch masked request with
         | Error (Api.Gate_absent g) ->
             Alcotest.(check string) (gate ^ ": refused as itself") gate g
         | other -> Alcotest.failf "%s: expected Gate_absent, got %s" gate (render other));
         Alcotest.(check bool)
           (gate ^ ": refusal audited") true
-          (Audit_log.refusal_count audit > refusals_before)
+          (Audit_log.refused audit > refusals_before)
       end)
     (stripped_attempts masked);
   (* No partial mutation: unmask and compare against the twin that

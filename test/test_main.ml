@@ -33,4 +33,5 @@ let () =
       ("registry", Registry_test.suite);
       ("par", Par_test.suite);
       ("spec", Spec_test.suite);
+      ("trail", Trail_test.suite);
     ]
