@@ -540,22 +540,19 @@ module Par = Multics_par.Par
    sized down so Bechamel can sample it. *)
 let harness_seed_refs = 30
 
+let e19_seed_run seed =
+  Multics_experiments.E19_sid.run_seed ~report:(fun _ _ _ -> ()) ~seed ~refs:harness_seed_refs
+
 let bench_harness_seed_run =
-  Test.make ~name:"harness/e19_seed_run"
-    (Staged.stage (fun () ->
-         Multics_experiments.E19_sid.run_seed ~seed:7 ~refs:harness_seed_refs))
+  Test.make ~name:"harness/e19_seed_run" (Staged.stage (fun () -> e19_seed_run 7))
 
 let bench_harness_pool_seq =
   Test.make ~name:"harness/run_seeds_1dom"
-    (Staged.stage (fun () ->
-         Par.run_seeds ~jobs:1 8 (fun seed ->
-             Multics_experiments.E19_sid.run_seed ~seed ~refs:harness_seed_refs)))
+    (Staged.stage (fun () -> Par.run_seeds ~jobs:1 8 e19_seed_run))
 
 let bench_harness_pool_4dom =
   Test.make ~name:"harness/run_seeds_4dom"
-    (Staged.stage (fun () ->
-         Par.run_seeds ~jobs:4 8 (fun seed ->
-             Multics_experiments.E19_sid.run_seed ~seed ~refs:harness_seed_refs)))
+    (Staged.stage (fun () -> Par.run_seeds ~jobs:4 8 e19_seed_run))
 
 let bench_harness_spawn_join =
   Test.make ~name:"harness/pool_spawn_join"
@@ -880,20 +877,15 @@ let smoke () =
   let harness_refs = 2_000 and harness_trials = 3 in
   let time_oracle jobs =
     let start = Unix.gettimeofday () in
-    let runs = Multics_experiments.E19_sid.parity_runs ~jobs ~refs:harness_refs () in
-    (Unix.gettimeofday () -. start, runs)
+    let result = Multics_experiments.E19_sid.parity_runs ~jobs ~refs:harness_refs () in
+    (Unix.gettimeofday () -. start, result)
   in
   let cores = Domain.recommended_domain_count () in
   let seq_samples = List.init harness_trials (fun _ -> time_oracle 1) in
   let median3 xs = List.nth (List.sort compare xs) (harness_trials / 2) in
   let seq_t = median3 (List.map fst seq_samples) in
   let reference = snd (List.hd seq_samples) in
-  let oracle_divergences =
-    List.fold_left
-      (fun acc (r : Multics_experiments.E19_sid.run_stats) ->
-        acc + r.Multics_experiments.E19_sid.divergences)
-      0 reference
-  in
+  let oracle_divergences = (snd reference).Multics_par.Oracle.divergences in
   if cores < 2 then begin
     (* A 4-domain pool on one core measures scheduler thrash, not the
        harness: skip the timing, keep the determinism check over the
@@ -946,6 +938,9 @@ let smoke () =
       harness_required_speedup cores enforce_speedup identical;
     close_out oc
   end;
+  Option.iter
+    (fun line -> print_endline ("bench smoke: " ^ line))
+    (Multics_par.Oracle.witness_line (snd reference));
   print_endline "bench smoke: appended to BENCH_harness.json";
 
   (* ----- the model checker's exploration throughput -----

@@ -21,12 +21,6 @@ open Multics_machine
 
 (** {1 Access-vector bits} *)
 
-val bit_read : int
-val bit_execute : int
-val bit_write : int
-val bit_bracket_read : int
-val bit_bracket_write : int
-
 val required : Mode.t -> int
 (** The bits a request must cover: observe modes need the read
     bracket, write needs the write bracket. *)
@@ -39,8 +33,6 @@ val compute :
     trusted-subject carve-out) and the bracket rule.  Held pointwise
     equal to the structured path by the E19 oracle and the unit
     tests. *)
-
-val pp_av : Format.formatter -> int -> unit
 
 (** {1 The table} *)
 
@@ -61,7 +53,6 @@ val subject_sid : t -> Policy.subject -> Sid.t
 (** Intern (or recall, via the subject's memo stamp — two int
     compares) the subject's row. *)
 
-val subject_sids : t -> Policy.Subject_sids.t
 val subject_count : t -> int
 
 val find : t -> subj:Sid.t -> obj:int -> int

@@ -7,7 +7,6 @@ type t
 
 val level_rank : level -> int
 val level_of_rank : int -> level
-val level_name : level -> string
 
 val all_levels : level list
 (** In ascending order. *)
@@ -31,8 +30,6 @@ val dominates : t -> t -> bool
 (** [dominates a b] iff information labelled [b] may flow to [a]:
     [a]'s level is at least [b]'s and [a]'s compartments include
     [b]'s. *)
-
-val strictly_dominates : t -> t -> bool
 
 val comparable : t -> t -> bool
 (** Whether either label dominates the other. *)

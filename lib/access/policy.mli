@@ -39,9 +39,6 @@ val mandatory_refusals :
   subject_label:Label.t -> object_label:Label.t -> requested:Mode.t -> refusal list
 (** Simple security for read/execute, *-property for write. *)
 
-val discretionary_refusals :
-  acl:Acl.t -> principal:Principal.t -> requested:Mode.t -> refusal list
-
 val refusals_of_hardware : Hardware.decision -> refusal list
 
 val verdict_of_refusals : refusal list -> verdict

@@ -29,7 +29,6 @@ val ring1_statements : Multics_kernel.Config.t -> int
 
 val module_count : Multics_kernel.Config.t -> int
 
-val subsystem_statements : Multics_kernel.Config.t -> subsystem:string -> int
 val subsystem_gates : Multics_kernel.Config.t -> subsystem:string -> int
 
 val address_space_statements : Multics_kernel.Config.t -> int

@@ -15,11 +15,8 @@ type result = {
   note : string;
 }
 
-val scenario_system_provided : unit -> result
-val scenario_user_constructed : unit -> result
 val scenario_borrowed_unconfined : unit -> result
 val scenario_borrowed_confined : unit -> result
-val scenario_mutual_consent : unit -> result
 
 val run_all : unit -> result list
 

@@ -13,13 +13,6 @@ type check = {
 
 val passed : check -> bool
 
-val check_dominance : unit -> check
-val check_lattice_bounds : unit -> check
-val check_mandatory : unit -> check
-val check_brackets : unit -> check
-val check_hardware_soundness : unit -> check
-val check_acl_specificity : unit -> check
-
 val run_all : unit -> check list
 val all_passed : check list -> bool
 val total_cases : check list -> int

@@ -718,9 +718,8 @@ module Call = struct
           (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Read in
             let* uid = uid_of_segno p segno in
-            match Hierarchy.raw_read_word (System.hierarchy system) ~uid ~offset with
-            | Some value -> Ok (Word value)
-            | None -> Error (Fs (Hierarchy.Not_a_segment (string_of_int segno))))
+            let* value = fs_result (Hierarchy.raw_read_word (System.hierarchy system) ~uid ~offset) in
+            Ok (Word value))
     | Write_word { segno; offset; value } ->
         call system ~handle ~gate:"write_word"
           ~at:(Audit_log.Offset (segno, offset))
@@ -730,9 +729,10 @@ module Call = struct
             (* Segment control charges the quota cell for any growth
                before the page materializes, whichever path the write
                came by. *)
-            let* () = fs_result (Hierarchy.charge_growth (System.hierarchy system) ~uid ~offset) in
-            if Hierarchy.raw_write_word (System.hierarchy system) ~uid ~offset ~value then Ok Done
-            else Error (Fs (Hierarchy.Not_a_segment (string_of_int segno))))
+            let* () =
+              fs_result (Hierarchy.raw_write_word (System.hierarchy system) ~uid ~offset ~value)
+            in
+            Ok Done)
     (* ----- Naming gates (present only while naming is in the kernel) ----- *)
     | Initiate_by_path { path } ->
         call system ~handle ~gate:"initiate_by_path" ~target:path (fun p subject ->

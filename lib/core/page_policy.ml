@@ -63,12 +63,13 @@ let run_in_ring0 (view : raw_view) ~attack ~secret_uid =
   match attack with
   | Read_secret -> (
       match Hierarchy.raw_read_word view.hierarchy ~uid:secret_uid ~offset:0 with
-      | Some value ->
+      | Ok value ->
           verdict ~released:true ~modified:false ~denied:false
             (Printf.sprintf "read secret word %d through raw memory access" value)
-      | None -> verdict ~released:false ~modified:false ~denied:false "segment unreadable")
+      | Error _ -> verdict ~released:false ~modified:false ~denied:false "segment unreadable")
   | Overwrite_segment ->
-      if Hierarchy.raw_write_word view.hierarchy ~uid:secret_uid ~offset:0 ~value:0xDEAD then
+      if Result.is_ok (Hierarchy.raw_write_word view.hierarchy ~uid:secret_uid ~offset:0 ~value:0xDEAD)
+      then
         verdict ~released:false ~modified:true ~denied:false "overwrote word 0 of the segment"
       else verdict ~released:false ~modified:false ~denied:false "segment unwritable"
   | Deny_service ->
@@ -128,6 +129,3 @@ let attack_matrix () =
         { placement = Config.Policy_in_ring1; attack; result = run_in_ring1 restricted ~attack };
       ])
     [ Read_secret; Overwrite_segment; Deny_service ]
-
-let violation_achieved row =
-  row.result.released || row.result.modified || row.result.denied

@@ -18,13 +18,6 @@ type attack = Read_secret | Overwrite_segment | Deny_service
 
 val attack_name : attack -> string
 
-val mechanism_view_of : Memory.t -> mechanism_view * (int -> Page_id.t option)
-(** The restricted view plus the ring-0-only mapping back to real
-    pages. *)
-
-val run_in_ring0 : raw_view -> attack:attack -> secret_uid:Uid.t -> verdict
-val run_in_ring1 : mechanism_view -> attack:attack -> verdict
-
 type experiment_row = {
   placement : Config.policy_placement;
   attack : attack;
@@ -33,5 +26,3 @@ type experiment_row = {
 
 val attack_matrix : unit -> experiment_row list
 (** The full placement x attack matrix over a fresh little world. *)
-
-val violation_achieved : experiment_row -> bool

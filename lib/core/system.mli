@@ -62,9 +62,6 @@ val set_faults : t -> Multics_fault.Fault.Injector.t option -> unit
     can add cost or force a refusal/abort, never widen access.  Also
     installs (or clears) the hierarchy's [Cache_flush] storm probe. *)
 
-val flush_assoc_memories : t -> unit
-(** Drop every process's SDW associative memory. *)
-
 val invalidate_caches : t -> unit
 (** Invalidate every cached access decision: the policy verdict cache
     plus each process's associative memory.  Run by the salvager after
@@ -170,8 +167,6 @@ val add_account :
   t -> person:string -> project:string -> password:string -> clearance:Label.t -> account
 (** Creates [>udd>Project>Person].  Raises [Invalid_argument] on a
     duplicate account. *)
-
-val find_account : t -> person:string -> project:string -> account option
 
 (** {1 Processes} *)
 

@@ -153,15 +153,6 @@ let lookup_name system ~handle ~name =
     | Some p -> rnt_user_result (Rnt.lookup p.System.rnt ~name)
   end
 
-let unbind_name system ~handle ~name =
-  if naming_in_kernel system then
-    done_reply "unbind_name" (Api.Call.dispatch system ~handle (Api.Call.Rnt_unbind { name }))
-  else begin
-    match System.proc system handle with
-    | None -> Error (Api (Api.No_such_process handle))
-    | Some p -> rnt_user_result (Rnt.unbind p.System.rnt ~name)
-  end
-
 (* ----- Linking ----- *)
 
 (* Snap a link.  Pre-removal this is the kernel's snap_link gate;

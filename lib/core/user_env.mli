@@ -34,7 +34,6 @@ val delete_at : System.t -> handle:int -> path:string -> (unit, error) result
 
 val bind_name : System.t -> handle:int -> name:string -> segno:int -> (unit, error) result
 val lookup_name : System.t -> handle:int -> name:string -> (int, error) result
-val unbind_name : System.t -> handle:int -> name:string -> (unit, error) result
 
 val snap_link :
   System.t -> handle:int -> segno:int -> link_index:int -> (int * int, error) result

@@ -6,8 +6,4 @@ val id : string
 val title : string
 val paper_claim : string
 
-val stage_table : unit -> Multics_util.Table.t
-val init_table : unit -> Multics_util.Table.t
-val io_table : unit -> Multics_util.Table.t
-val trojan_table : unit -> Multics_util.Table.t
 val render : unit -> string

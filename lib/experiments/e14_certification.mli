@@ -6,6 +6,4 @@ val id : string
 val title : string
 val paper_claim : string
 
-val verification_table : unit -> Multics_util.Table.t
-val flaw_table : unit -> Multics_util.Table.t
 val render : unit -> string

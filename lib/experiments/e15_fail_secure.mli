@@ -44,11 +44,4 @@ type vm_outcome = {
   conservation_ok : bool;
 }
 
-val run_vm_pair : seed:int -> unit -> vm_outcome
-(** Page-fault traffic plus the backup daemon under storage, tape and
-    process-crash faults. *)
-
-val obs_counts : unit -> (string * int) list
-(** The fault/salvage counters from the lib/obs global registry. *)
-
 val render : unit -> string

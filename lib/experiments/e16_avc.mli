@@ -30,13 +30,7 @@ type row = {
   parity_ok : bool;  (** cached verdict = fresh verdict at every step *)
 }
 
-val run_workload : workload -> row
 val measure : unit -> row list
-
-val cost_per_ref : Multics_machine.Cost.t -> hit_ratio:float -> float
-(** [memory_reference + (1 - hit) * sdw_fetch]. *)
-
-val uncached_cost_per_ref : Multics_machine.Cost.t -> float
 
 val table : unit -> Multics_util.Table.t
 val render : unit -> string

@@ -289,24 +289,26 @@ let parity_table results =
     parity_policies results;
   t
 
-let parity_verdict results =
+(* Every policy must mediate exactly like the first: one oracle seed,
+   one step per later policy, over runs already made. *)
+let parity_oracle results =
+  let named = List.map (fun r -> (r.Workload.r_policy, Workload.mediation r)) results in
+  snd
+    (Multics_par.Oracle.run ~jobs:1 ~seeds:1
+       ~equal:(fun (_, a) (_, b) -> a = b)
+       ~render:(fun (name, m) -> name ^ ": " ^ Workload.mediation_to_string m)
+       (fun ~seed:_ ~report ->
+         match named with
+         | [] -> ()
+         | first :: rest -> List.iteri (fun step variant -> report step first variant) rest))
+
+let parity_line results (o : Multics_par.Oracle.t) =
   match results with
-  | [] -> (false, "parity: no runs")
-  | (first : Workload.result) :: rest ->
-      let agree (r : Workload.result) =
-        r.Workload.r_signature = first.Workload.r_signature
-        && r.Workload.r_audit_granted = first.Workload.r_audit_granted
-        && r.Workload.r_audit_refused = first.Workload.r_audit_refused
-        && r.Workload.r_completed = first.Workload.r_completed
-      in
-      if List.for_all agree rest then
-        ( true,
-          Printf.sprintf
-            "mediation is schedule-invariant: digest %08x, %d granted / %d refused under every \
-             policy"
-            first.Workload.r_signature first.Workload.r_audit_granted
-            first.Workload.r_audit_refused )
-      else (false, "POLICY PERTURBED MEDIATION: audit trails diverged across policies")
+  | (first : Workload.result) :: _ when o.Multics_par.Oracle.divergences = 0 ->
+      Printf.sprintf
+        "mediation is schedule-invariant: digest %08x, %d granted / %d refused under every policy"
+        first.Workload.r_signature first.Workload.r_audit_granted first.Workload.r_audit_refused
+  | _ -> "POLICY PERTURBED MEDIATION: audit trails diverged across policies"
 
 let render () =
   let buf = Buffer.create 4096 in
@@ -323,7 +325,9 @@ let render () =
     (Printf.sprintf "\n%s %s\n\n" (if knee_ok then "[knee]" else "[NO KNEE]") knee_line);
   let parity = run_parity () in
   Buffer.add_string buf (Table.render (parity_table parity));
-  let par_ok, par_line = parity_verdict parity in
+  let oracle = parity_oracle parity in
   Buffer.add_string buf
-    (Printf.sprintf "\n%s %s\n" (if par_ok then "[parity]" else "[PARITY BROKEN]") par_line);
+    (Printf.sprintf "\n%s\n"
+       (Multics_par.Oracle.verdict oracle ~pass:"[parity]" ~fail:"[PARITY BROKEN]"
+          (parity_line parity oracle)));
   Buffer.contents buf

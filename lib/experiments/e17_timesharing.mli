@@ -8,42 +8,4 @@
 val id : string
 val title : string
 val paper_claim : string
-
-type sweep_row = {
-  sw_users : int;
-  sw_completed : int;
-  sw_cycles : int;
-  sw_throughput : float;
-  sw_response : Multics_util.Stats.summary;
-  sw_faults : int;
-}
-
-val run_sweep : cost:Multics_machine.Cost.t -> sweep_row list
-
-type knee_row = {
-  kn_cap : int;
-  kn_throughput : float;
-  kn_p50 : float;
-  kn_p99 : float;
-  kn_faults_per : float;  (** page faults per completed interaction *)
-  kn_stalls : int;
-}
-
-val negotiated : int
-(** The cap page control's core budget supports at the knee workload's
-    working-set size ({!Multics_sched.Sched.negotiated_cap}). *)
-
-val run_knee : unit -> knee_row list
-
-val knee_verdict : knee_row list -> bool * string
-(** [(true, line)] iff the worst over-admitted point at least doubles
-    faults per interaction relative to the negotiated cap. *)
-
-val run_parity : unit -> Multics_sched.Workload.result list
-(** The same workload under MLF, FIFO and the external policy. *)
-
-val parity_verdict : Multics_sched.Workload.result list -> bool * string
-(** [(true, line)] iff every policy produced the identical mediation
-    digest, audit totals and completion count. *)
-
 val render : unit -> string

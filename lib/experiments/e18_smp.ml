@@ -181,49 +181,45 @@ let parity_spec seed cpus fault_spec =
     fault_spec;
   }
 
-(* Returns the number of (seed, plan, cpus) triples whose mediation
-   diverged from the 1-CPU run. *)
-let run_parity () =
-  (* One task per seed (each covers every plan × CPU-count pair), fanned
-     out over domains; per-seed divergence counts are summed in seed
-     order, so the total — and the verdict line — never depends on the
-     pool size. *)
-  let per_seed =
-    Multics_par.Par.run_seeds parity_seeds (fun seed ->
-        let divergences = ref 0 in
-        List.iter
-          (fun plan ->
-            let base = Workload.run (parity_spec seed 1 plan) in
-            List.iter
-              (fun cpus ->
-                if cpus > 1 then begin
-                  let r = Workload.run (parity_spec seed cpus plan) in
-                  if
-                    r.Workload.r_signature <> base.Workload.r_signature
-                    || r.Workload.r_audit_granted <> base.Workload.r_audit_granted
-                    || r.Workload.r_audit_refused <> base.Workload.r_audit_refused
-                    || r.Workload.r_completed <> base.Workload.r_completed
-                  then incr divergences
-                end)
-              parity_cpu_points)
-          parity_plans;
-        !divergences)
+(* The invariance oracle E18 and E20 share: per seed and fault plan,
+   every [points] value above 1 must mediate exactly like the run at 1.
+   Steps number the (plan, point) comparisons of one seed in order. *)
+let invariance_oracle ~axis ~points ~plans spec =
+  let label point plan =
+    Printf.sprintf "%s=%d plan=%s" axis point (if plan = "" then "none" else plan)
   in
-  List.fold_left ( + ) 0 per_seed
+  snd
+    (Multics_par.Oracle.run ~seeds:parity_seeds
+       ~equal:(fun (_, a) (_, b) -> a = b)
+       ~render:(fun (l, m) -> l ^ ": " ^ Workload.mediation_to_string m)
+       (fun ~seed ~report ->
+         let step = ref 0 in
+         List.iter
+           (fun plan ->
+             let base = Workload.mediation (Workload.run (spec seed 1 plan)) in
+             List.iter
+               (fun point ->
+                 if point > 1 then begin
+                   let m = Workload.mediation (Workload.run (spec seed point plan)) in
+                   report !step (label 1 plan, base) (label point plan, m);
+                   incr step
+                 end)
+               points)
+           plans))
 
-let parity_verdict divergences =
-  let cpus_label =
-    String.concat "," (List.map string_of_int parity_cpu_points)
-  in
-  if divergences = 0 then
-    ( true,
-      Printf.sprintf
-        "mediation is CPU-count-invariant: %d seeds x {%s} CPUs, %d fault plans, 0 divergences"
-        parity_seeds cpus_label (List.length parity_plans) )
+let run_parity () =
+  invariance_oracle ~axis:"cpus" ~points:parity_cpu_points ~plans:parity_plans parity_spec
+
+let parity_line (o : Multics_par.Oracle.t) =
+  if o.Multics_par.Oracle.divergences = 0 then
+    Printf.sprintf
+      "mediation is CPU-count-invariant: %d seeds x {%s} CPUs, %d fault plans, 0 divergences"
+      o.Multics_par.Oracle.seeds
+      (String.concat "," (List.map string_of_int parity_cpu_points))
+      (List.length parity_plans)
   else
-    ( false,
-      Printf.sprintf "COHERENCE BROKEN: %d divergent runs (stale descriptors reached mediation)"
-        divergences )
+    Printf.sprintf "COHERENCE BROKEN: %d divergent runs (stale descriptors reached mediation)"
+      o.Multics_par.Oracle.divergences
 
 let render () =
   let buf = Buffer.create 4096 in
@@ -235,8 +231,9 @@ let render () =
   let scale_ok, scale_line = scaling_verdict sweep6180 in
   Buffer.add_string buf
     (Printf.sprintf "\n%s %s\n\n" (if scale_ok then "[scaling]" else "[NO SCALING]") scale_line);
-  let divergences = run_parity () in
-  let par_ok, par_line = parity_verdict divergences in
+  let oracle = run_parity () in
   Buffer.add_string buf
-    (Printf.sprintf "%s %s\n" (if par_ok then "[coherence]" else "[COHERENCE BROKEN]") par_line);
+    (Multics_par.Oracle.verdict oracle ~pass:"[coherence]" ~fail:"[COHERENCE BROKEN]"
+       (parity_line oracle));
+  Buffer.add_char buf '\n';
   Buffer.contents buf

@@ -10,52 +10,21 @@ val id : string
 val title : string
 val paper_claim : string
 
-val cpu_points : int list
-(** The sweep's CPU counts: 1, 2, 4, 8. *)
-
-type sweep_row = {
-  sw_cpus : int;
-  sw_completed : int;  (** interactions completed *)
-  sw_cycles : int;  (** simulated cycles consumed *)
-  sw_throughput : float;  (** interactions per megacycle *)
-  sw_response : Multics_util.Stats.summary;  (** interactive response times *)
-  sw_connects : int;  (** connect broadcasts observed *)
-  sw_connect_mean : float;  (** mean broadcast bill in cycles *)
-  sw_lock_contended : int;  (** global-lock acquisitions that waited *)
-}
-
-val sweep_spec : cost:Multics_machine.Cost.t -> cpus:int -> Multics_sched.Workload.spec
-(** The compute-heavy interactive load driving the sweep: enough
-    sessions to keep every engine busy, little think time. *)
-
-val run_sweep_point : cost:Multics_machine.Cost.t -> int -> sweep_row
-(** One cell of the sweep; the connect bill and lock contention come
-    from an obs-snapshot diff around the run. *)
-
-val run_sweep : cost:Multics_machine.Cost.t -> sweep_row list
-(** Every {!cpu_points} cell, fanned out over the [Par] pool. *)
-
-val sweep_table : label:string -> sweep_row list -> Multics_util.Table.t
-
-val scaling_verdict : sweep_row list -> bool * string
-(** Dispatch throughput must rise monotonically from 1 to 4 CPUs on
-    the 6180 cost model (8 may bend under lock contention — that is
-    the lesson, not a failure). *)
-
 (** {1 The coherence-parity oracle} *)
 
-val parity_seeds : int
-val parity_cpu_points : int list
-val parity_plans : string list
-
 val parity_spec : int -> int -> string -> Multics_sched.Workload.spec
+(** [parity_spec seed cpus fault_spec]: the small session load every
+    parity run serves (E20 reuses it with [sites] set). *)
 
-val run_parity : unit -> int
-(** Total divergent runs across seeds x plans x CPU counts (audit
-    digest, grant/refuse counts or completions differing from the
-    1-CPU baseline); per-seed tasks fan out over the [Par] pool and
-    reduce in seed order. *)
-
-val parity_verdict : int -> bool * string
+val invariance_oracle :
+  axis:string ->
+  points:int list ->
+  plans:string list ->
+  (int -> int -> string -> Multics_sched.Workload.spec) ->
+  Multics_par.Oracle.t
+(** [invariance_oracle ~axis ~points ~plans spec]: one hundred seeds;
+    per seed and plan, every point above 1 must give the
+    {!Multics_sched.Workload.mediation} of the run at 1.  [axis] names
+    the point in witness renderings. *)
 
 val render : unit -> string

@@ -99,13 +99,12 @@ let modes = [| Mode.r; Mode.w; Mode.rw; Mode.e; Mode.re |]
 
 type run_stats = {
   refs : int;
-  divergences : int;
   edits : int;  (** ACL edits + bracket changes + label rewrites *)
   flushes : int;  (** flush storms + salvage-style global invalidations *)
   rebuilds : int;
 }
 
-let run_seed ~seed ~refs =
+let run_seed ~report ~seed ~refs =
   let h = Hierarchy.create () in
   let rand = lcg (1 + seed) in
   let subjects = subject_pool () in
@@ -122,8 +121,8 @@ let run_seed ~seed ~refs =
         | Ok uid -> uid
         | Error e -> invalid_arg ("E19: create_segment: " ^ Hierarchy.error_to_string e))
   in
-  let divergences = ref 0 and edits = ref 0 and flushes = ref 0 and rebuilds = ref 0 in
-  for _ = 1 to refs do
+  let edits = ref 0 and flushes = ref 0 and rebuilds = ref 0 in
+  for step = 0 to refs - 1 do
     (match rand 20 with
     | 0 ->
         (* ACL edit: revocation through the per-object generation. *)
@@ -162,17 +161,25 @@ let run_seed ~seed ~refs =
     let requested = modes.(rand (Array.length modes)) in
     let compiled = Hierarchy.check_access h ~subject ~uid ~requested in
     let structured = Hierarchy.check_access_fresh h ~subject ~uid ~requested in
-    if compiled <> structured then incr divergences
+    report step structured compiled
   done;
-  { refs; divergences = !divergences; edits = !edits; flushes = !flushes; rebuilds = !rebuilds }
+  { refs; edits = !edits; flushes = !flushes; rebuilds = !rebuilds }
 
 let seeds = 100
 
+let render_verdict = function
+  | None -> "dangling uid"
+  | Some Policy.Permit -> "Permit"
+  | Some (Policy.Refuse refusals) ->
+      "Refuse [" ^ String.concat "; " (List.map Policy.refusal_to_string refusals) ^ "]"
+
 (* Seeds are independent labeled-PRNG streams, so the oracle fans out
    over domains; results come back in seed order, so the table and
-   verdict line are byte-identical at any pool size. *)
+   verdict line are byte-identical at any pool size.  The structured
+   verdict is the reference, the compiled one the variant. *)
 let parity_runs ?jobs ?(refs = 400) () =
-  Multics_par.Par.run_seeds ?jobs seeds (fun seed -> run_seed ~seed ~refs)
+  Multics_par.Oracle.run ?jobs ~seeds ~equal:( = ) ~render:render_verdict
+    (fun ~seed ~report -> run_seed ~report ~seed ~refs)
 
 (* ----- The compilation-cost table ----- *)
 
@@ -240,7 +247,7 @@ let cost_rows () =
 
 (* ----- Rendering ----- *)
 
-let parity_table runs =
+let parity_table runs (oracle : Multics_par.Oracle.t) =
   let open Multics_util.Table in
   let t =
     create
@@ -263,7 +270,7 @@ let parity_table runs =
       string_of_int (sum (fun r -> r.edits));
       string_of_int (sum (fun r -> r.flushes));
       string_of_int (sum (fun r -> r.rebuilds));
-      string_of_int (sum (fun r -> r.divergences));
+      string_of_int oracle.Multics_par.Oracle.divergences;
     ];
   t
 
@@ -297,19 +304,17 @@ let cost_table rows =
   t
 
 let render () =
-  let runs = parity_runs () in
-  let total_div = List.fold_left (fun acc r -> acc + r.divergences) 0 runs in
-  let par_ok = total_div = 0 in
+  let runs, oracle = parity_runs () in
   let par_line =
     Printf.sprintf
       "compiled access-vector table matches structured mediation: %d seeds, %d divergences"
-      seeds total_div
+      seeds oracle.Multics_par.Oracle.divergences
   in
   String.concat "\n"
     [
-      Multics_util.Table.render (parity_table runs);
+      Multics_util.Table.render (parity_table runs oracle);
       "";
       Multics_util.Table.render (cost_table (cost_rows ()));
       "";
-      Printf.sprintf "%s %s" (if par_ok then "[parity]" else "[PARITY BROKEN]") par_line;
+      Multics_par.Oracle.verdict oracle ~pass:"[parity]" ~fail:"[PARITY BROKEN]" par_line;
     ]

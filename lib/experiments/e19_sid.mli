@@ -12,22 +12,27 @@ val paper_claim : string
 
 type run_stats = {
   refs : int;
-  divergences : int;
   edits : int;  (** ACL edits + bracket changes + label rewrites *)
   flushes : int;  (** flush storms + salvage-style global invalidations *)
   rebuilds : int;
 }
 
-val run_seed : seed:int -> refs:int -> run_stats
+val run_seed :
+  report:
+    (int ->
+    Multics_access.Policy.verdict option ->
+    Multics_access.Policy.verdict option ->
+    unit) ->
+  seed:int ->
+  refs:int ->
+  run_stats
 (** One randomized interleaving of references and revocations; every
-    reference compares [check_access] against [check_access_fresh]. *)
+    reference [k] calls [report k structured compiled] with the
+    verdicts of [check_access_fresh] and [check_access]. *)
 
-val seeds : int
-
-val parity_runs : ?jobs:int -> ?refs:int -> unit -> run_stats list
-(** The 100-seed oracle, fanned out over [jobs] domains (default:
-    [Par.default_jobs ()], i.e. [MULTICS_JOBS]); [refs] defaults to
-    400 references per seed.  Results are reduced in seed order, so the
-    output is identical at any pool size. *)
+val parity_runs : ?jobs:int -> ?refs:int -> unit -> run_stats list * Multics_par.Oracle.t
+(** The 100-seed oracle through {!Multics_par.Oracle}, fanned out over
+    [jobs] domains (default [MULTICS_JOBS]); [refs] defaults to 400
+    references per seed.  Identical at any pool size. *)
 
 val render : unit -> string

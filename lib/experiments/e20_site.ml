@@ -108,41 +108,36 @@ let sweep_table cells =
   t
 
 (* The sweep driver is sequential, so the order-preserving digest must
-   be bit-identical across site counts at every population. *)
-let sweep_parity_verdict cells =
-  let divergent =
-    List.concat_map
-      (fun users ->
-        let rows = List.filter (fun c -> c.row.Workload.sw_users = users) cells in
-        match rows with
-        | [] -> []
-        | base :: rest ->
-            List.filter_map
-              (fun c ->
-                if
-                  c.row.Workload.sw_signature <> base.row.Workload.sw_signature
-                  || c.row.Workload.sw_granted <> base.row.Workload.sw_granted
-                  || c.row.Workload.sw_refused <> base.row.Workload.sw_refused
-                then Some (users, c.row.Workload.sw_sites)
-                else None)
-              rest)
-      user_points
+   be bit-identical across site counts at every population: one oracle
+   seed per population, one step per site count above the first.  The
+   cells are already computed, so the comparison runs inline. *)
+let sweep_parity cells =
+  let cell users sites =
+    List.find (fun c -> c.row.Workload.sw_users = users && c.row.Workload.sw_sites = sites) cells
   in
-  if divergent = [] then
-    ( true,
-      Printf.sprintf
-        "fleet digest is site-count-invariant across the sweep: %s users x {%s} sites"
-        (String.concat "," (List.map string_of_int user_points))
-        (String.concat "," (List.map string_of_int site_points)) )
+  let at c = (c.row.Workload.sw_sites, Workload.sweep_mediation c.row) in
+  snd
+    (Multics_par.Oracle.run ~jobs:1 ~seeds:(List.length user_points)
+       ~equal:(fun (_, a) (_, b) -> a = b)
+       ~render:(fun (sites, m) ->
+         Printf.sprintf "sites=%d: %s" sites (Workload.mediation_to_string m))
+       (fun ~seed ~report ->
+         let users = List.nth user_points seed in
+         let base = cell users (List.hd site_points) in
+         List.iteri
+           (fun step sites -> report step (at base) (at (cell users sites)))
+           (List.tl site_points)))
+
+let sweep_parity_line (o : Multics_par.Oracle.t) =
+  if o.Multics_par.Oracle.divergences = 0 then
+    Printf.sprintf "fleet digest is site-count-invariant across the sweep: %s users x {%s} sites"
+      (String.concat "," (List.map string_of_int user_points))
+      (String.concat "," (List.map string_of_int site_points))
   else
-    ( false,
-      Printf.sprintf "SWEEP PARITY BROKEN at: %s"
-        (String.concat ", "
-           (List.map (fun (u, s) -> Printf.sprintf "%d users/%d sites" u s) divergent)) )
+    Printf.sprintf "SWEEP PARITY BROKEN: %d divergent cells" o.Multics_par.Oracle.divergences
 
 (* ----- 3. the coherence-parity oracle ----- *)
 
-let parity_seeds = 100
 let parity_site_points = [ 1; 2; 4 ]
 
 (* Recoverable plans only ([every:k], k >= 2): bounded retry always
@@ -152,66 +147,21 @@ let parity_site_points = [ 1; 2; 4 ]
 let parity_plans =
   [ ""; "site.drop=every:3"; "site.delay=every:2"; "site.drop=every:5,site.delay=every:3" ]
 
-let parity_spec seed sites fault_spec =
-  {
-    Workload.default with
-    seed;
-    users = 3;
-    interactions = 2;
-    think = 2_000;
-    service = 300;
-    working_set = 2;
-    passes = 2;
-    batch = 1;
-    batch_chunks = 2;
-    batch_chunk = 500;
-    daemons = 1;
-    vps = 4;
-    (* fixed while sites vary: same schedule-level parallelism *)
-    sites;
-    fault_spec;
-  }
-
 let run_parity () =
-  (* One task per seed (each covers every plan × site-count pair),
-     fanned out over domains; per-seed divergence counts are summed in
-     seed order, so the total never depends on the pool size. *)
-  let per_seed =
-    Multics_par.Par.run_seeds parity_seeds (fun seed ->
-        let divergences = ref 0 in
-        List.iter
-          (fun plan ->
-            let base = Workload.run (parity_spec seed 1 plan) in
-            List.iter
-              (fun sites ->
-                if sites > 1 then begin
-                  let r = Workload.run (parity_spec seed sites plan) in
-                  if
-                    r.Workload.r_signature <> base.Workload.r_signature
-                    || r.Workload.r_audit_granted <> base.Workload.r_audit_granted
-                    || r.Workload.r_audit_refused <> base.Workload.r_audit_refused
-                    || r.Workload.r_completed <> base.Workload.r_completed
-                  then incr divergences
-                end)
-              parity_site_points)
-          parity_plans;
-        !divergences)
-  in
-  List.fold_left ( + ) 0 per_seed
+  E18_smp.invariance_oracle ~axis:"sites" ~points:parity_site_points ~plans:parity_plans
+    (fun seed sites plan -> { (E18_smp.parity_spec seed 1 plan) with sites })
 
-let parity_verdict divergences =
-  if divergences = 0 then
-    ( true,
-      Printf.sprintf
-        "mediation is site-count-invariant: %d seeds x {%s} sites, %d fault plans, 0 divergences"
-        parity_seeds
-        (String.concat "," (List.map string_of_int parity_site_points))
-        (List.length parity_plans) )
+let parity_line (o : Multics_par.Oracle.t) =
+  if o.Multics_par.Oracle.divergences = 0 then
+    Printf.sprintf
+      "mediation is site-count-invariant: %d seeds x {%s} sites, %d fault plans, 0 divergences"
+      o.Multics_par.Oracle.seeds
+      (String.concat "," (List.map string_of_int parity_site_points))
+      (List.length parity_plans)
   else
-    ( false,
-      Printf.sprintf
-        "COHERENCE BROKEN: %d divergent runs (a site served a decision the fleet revoked)"
-        divergences )
+    Printf.sprintf
+      "COHERENCE BROKEN: %d divergent runs (a site served a decision the fleet revoked)"
+      o.Multics_par.Oracle.divergences
 
 (* ----- 4. the directed partition race ----- *)
 
@@ -364,15 +314,16 @@ let render () =
          user_points)
   in
   Buffer.add_string buf (Table.render (sweep_table cells));
-  let sweep_ok, sweep_line = sweep_parity_verdict cells in
+  let sweep = sweep_parity cells in
   Buffer.add_string buf
-    (Printf.sprintf "\n%s %s\n\n"
-       (if sweep_ok then "[sweep-parity]" else "[SWEEP PARITY BROKEN]")
-       sweep_line);
-  let divergences = run_parity () in
-  let par_ok, par_line = parity_verdict divergences in
+    (Printf.sprintf "\n%s\n\n"
+       (Multics_par.Oracle.verdict sweep ~pass:"[sweep-parity]" ~fail:"[SWEEP PARITY BROKEN]"
+          (sweep_parity_line sweep)));
+  let oracle = run_parity () in
   Buffer.add_string buf
-    (Printf.sprintf "%s %s\n\n" (if par_ok then "[parity]" else "[PARITY BROKEN]") par_line);
+    (Printf.sprintf "%s\n\n"
+       (Multics_par.Oracle.verdict oracle ~pass:"[parity]" ~fail:"[PARITY BROKEN]"
+          (parity_line oracle)));
   let race = run_race () in
   let race_ok, race_line = race_verdict race in
   Buffer.add_string buf

@@ -9,63 +9,4 @@
 val id : string
 val title : string
 val paper_claim : string
-
-(** {1 The fleet sweep} *)
-
-val user_points : int list
-val site_points : int list
-
-type sweep_cell = {
-  row : Multics_sched.Workload.sweep_row;
-  revocation_mean : float;  (** cycles per cross-site revocation storm *)
-}
-
-val run_sweep_cell : users:int -> sites:int -> sweep_cell
-(** One cell (seed 20, a revocation every 1000th user); the revocation
-    bill comes from an obs-snapshot diff around the run. *)
-
-val sweep_table : sweep_cell list -> Multics_util.Table.t
-
-val sweep_parity_verdict : sweep_cell list -> bool * string
-(** The order-preserving digest and the grant/refuse counts must be
-    bit-identical across site counts at every population. *)
-
-(** {1 The coherence-parity oracle} *)
-
-val parity_seeds : int
-val parity_site_points : int list
-
-val parity_plans : string list
-(** Recoverable plans only ([every:k], k >= 2): bounded retry always
-    delivers, so no site is fenced and parity is exact. *)
-
-val parity_spec : int -> int -> string -> Multics_sched.Workload.spec
-
-val run_parity : unit -> int
-(** Total divergent runs across seeds x plans x site counts (digest,
-    audit counts or completions differing from the 1-site baseline);
-    per-seed tasks fan out over the [Par] pool and reduce in seed
-    order. *)
-
-val parity_verdict : int -> bool * string
-
-(** {1 The directed partition race} *)
-
-type race_outcome = {
-  stale_permits : int;
-  fenced_refusals : int;
-  rejoin_replayed : int;
-  rejoin_ok : bool;
-}
-
-val run_race : unit -> race_outcome
-(** Warm a remote site's Permit, partition it, revoke at the origin,
-    then count what the fenced site serves before healing the link and
-    replaying the missed epochs. *)
-
-val race_verdict : race_outcome -> bool * string
-
-val obs_table : unit -> Multics_util.Table.t
-(** Per-site mediation counters aggregated fleet-wide. *)
-
 val render : unit -> string

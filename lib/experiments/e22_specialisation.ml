@@ -388,15 +388,20 @@ let requests_per_seed = 40
    response must render identically.  Then every stripped gate with a
    dispatchable template is driven once at the specialised kernel and
    must refuse with its own [Gate_absent], leaving an audit record.
-   Returns the number of divergences. *)
-let parity_run spec seed =
-  let prng = Prng.create_labeled ~seed ~label:("e22.parity." ^ Spec.Specialisation.name spec) in
+   Each comparison is reported as a (kernel, rendering) pair at the
+   next step of the seed. *)
+let parity_run ~report ~step spec seed =
+  let name = Spec.Specialisation.name spec in
+  let compare reference variant =
+    report !step reference (name, variant);
+    incr step
+  in
+  let prng = Prng.create_labeled ~seed ~label:("e22.parity." ^ name) in
   let full_env = boot () in
   let spec_env = boot () in
   if full_env.home <> spec_env.home || full_env.data <> spec_env.data then
     invalid_arg "E22: boot is not deterministic";
   Spec.Specialisation.apply spec_env.system spec;
-  let divergences = ref 0 in
   let stream =
     List.filter
       (fun t -> t.t_stream && Spec.Specialisation.admits spec ~gate:t.t_gate)
@@ -408,7 +413,7 @@ let parity_run spec seed =
     let request = t.t_make full_env prng in
     let at_full = render_response (Api.Call.dispatch full_env.system ~handle:full_env.handle request) in
     let at_spec = render_response (Api.Call.dispatch spec_env.system ~handle:spec_env.handle request) in
-    if at_full <> at_spec then incr divergences
+    compare ("full", at_full) at_spec
   done;
   List.iter
     (fun gate ->
@@ -417,21 +422,24 @@ let parity_run spec seed =
       | Some t ->
           let request = t.t_make full_env prng in
           let refusals_before = Audit_log.refused (System.audit spec_env.system) in
-          (match Api.Call.dispatch spec_env.system ~handle:spec_env.handle request with
-          | Error (Api.Gate_absent g) when g = gate -> ()
-          | _ -> incr divergences);
-          if Audit_log.refused (System.audit spec_env.system) <= refusals_before then
-            incr divergences)
-    (Spec.Specialisation.stripped spec);
-  !divergences
+          let response = Api.Call.dispatch spec_env.system ~handle:spec_env.handle request in
+          compare ("expected", render_response (Error (Api.Gate_absent gate)))
+            (render_response response);
+          let audited = Audit_log.refused (System.audit spec_env.system) > refusals_before in
+          compare ("expected", "refusal audited")
+            (if audited then "refusal audited" else "no audit record"))
+    (Spec.Specialisation.stripped spec)
 
-let parity_oracle ?jobs specs =
-  let stripped_specs = List.filter (fun s -> Spec.Specialisation.stripped s <> []) specs in
-  let per_seed =
-    Multics_par.Par.run_seeds ?jobs parity_seeds (fun seed ->
-        List.fold_left (fun acc spec -> acc + parity_run spec seed) 0 stripped_specs)
-  in
-  (List.fold_left ( + ) 0 per_seed, List.length stripped_specs)
+let stripped_specs specs = List.filter (fun s -> Spec.Specialisation.stripped s <> []) specs
+
+let parity_oracle specs =
+  snd
+    (Multics_par.Oracle.run ~seeds:parity_seeds
+       ~equal:(fun (_, a) (_, b) -> String.equal a b)
+       ~render:(fun (kernel, response) -> kernel ^ ": " ^ response)
+       (fun ~seed ~report ->
+         let step = ref 0 in
+         List.iter (fun spec -> parity_run ~report ~step spec seed) (stripped_specs specs)))
 
 (* ----- Rendering ----- *)
 
@@ -529,14 +537,13 @@ let surface_verdict rows =
       violations (List.length rows)
       (List.length Pentest.corpus) )
 
-let parity_verdict ?jobs specs =
-  let divergences, nspecs = parity_oracle ?jobs specs in
-  let jobs = match jobs with Some j -> j | None -> Multics_par.Par.default_jobs () in
-  ( divergences = 0,
-    Printf.sprintf
-      "%d seeds, %d admitted requests each, %d specialised kernels: %d divergences from the \
-       full kernel; every stripped gate refused with Gate_absent (jobs=%d)"
-      parity_seeds requests_per_seed nspecs divergences jobs )
+let parity_line specs (oracle : Multics_par.Oracle.t) =
+  Printf.sprintf
+    "%d seeds, %d admitted requests each, %d specialised kernels: %d divergences from the full \
+     kernel; every stripped gate refused with Gate_absent (jobs=%d)"
+    parity_seeds requests_per_seed
+    (List.length (stripped_specs specs))
+    oracle.Multics_par.Oracle.divergences (Multics_par.Par.default_jobs ())
 
 let render () =
   let buf = Buffer.create 4096 in
@@ -549,7 +556,9 @@ let render () =
   let su_ok, su_line = surface_verdict rows in
   Buffer.add_string buf
     (Printf.sprintf "%s %s\n" (if su_ok then "[surface]" else "[SURFACE BROKEN]") su_line);
-  let pa_ok, pa_line = parity_verdict specs in
+  let oracle = parity_oracle specs in
   Buffer.add_string buf
-    (Printf.sprintf "%s %s\n" (if pa_ok then "[spec-parity]" else "[SPEC PARITY BROKEN]") pa_line);
+    (Multics_par.Oracle.verdict oracle ~pass:"[spec-parity]" ~fail:"[SPEC PARITY BROKEN]"
+       (parity_line specs oracle));
+  Buffer.add_char buf '\n';
   Buffer.contents buf

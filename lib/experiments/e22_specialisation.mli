@@ -9,19 +9,4 @@
 val id : string
 val title : string
 val paper_claim : string
-
-val config : Multics_kernel.Config.t
-
-val specialisations : unit -> Multics_spec.Spec.Specialisation.t list
-(** The measured frontier points: the full surface plus the three
-    profiled mixes (editor-compile, daemon-only, minimal), each
-    compiled from a profile that has round-tripped through its
-    serialisation. *)
-
-val parity_oracle : ?jobs:int -> Multics_spec.Spec.Specialisation.t list -> int * int
-(** [(divergences, specialised_kernels)] over the 100-seed
-    admitted-request parity run; 0 divergences means every admitted
-    request rendered byte-identically at the full and specialised
-    kernels and every stripped gate refused with [Gate_absent]. *)
-
 val render : unit -> string

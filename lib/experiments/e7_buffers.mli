@@ -14,8 +14,6 @@ type row = {
   infinite_peak_pages : int;
 }
 
-val burst_caps : int list
 val measure : ?capacity:int -> ?seed:int -> unit -> row list
-val mechanism_table : unit -> Multics_util.Table.t
 val table : unit -> Multics_util.Table.t
 val render : unit -> string

@@ -68,8 +68,6 @@ type schedule =
   | Every of int  (** fire on every kth occurrence *)
   | Probability of { num : int; den : int }  (** each occurrence fires with p = num/den *)
 
-val schedule_to_string : schedule -> string
-
 module Plan : sig
   type rule = { site : site; schedule : schedule }
 
@@ -114,9 +112,6 @@ module Injector : sig
   val injected : t -> int
   val retries : t -> int
   val giveups : t -> int
-
-  val injected_at : t -> site -> int
-  val occurrences_at : t -> site -> int
 
   val counts : t -> (string * int) list
   (** Totals plus per-site injection counts, for reports and the shell

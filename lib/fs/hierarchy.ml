@@ -156,7 +156,6 @@ let acl_of t uid = Option.map (fun n -> n.acl) (node t uid)
 let brackets_of t uid = Option.map (fun n -> n.brackets) (node t uid)
 let gate_bound_of t uid = Option.map (fun n -> n.gate_bound) (node t uid)
 let name_of t uid = Option.map (fun n -> n.name) (node t uid)
-let parent_of t uid = Option.bind (node t uid) (fun n -> n.parent)
 let page_count_of t uid = Option.map (fun n -> n.pages) (node t uid)
 
 (* ----- The access check used by every operation -----
@@ -602,55 +601,50 @@ let ensure_capacity t n offset =
 
 let max_segment_words = 256 * 1024
 
-let read_word t ~subject ~uid ~offset =
-  let* n = seg_node t uid in
-  guard t subject n ~requested:Mode.r (fun () ->
-      if offset < 0 || offset >= max_segment_words then Error (Out_of_bounds offset)
-      else if offset >= Array.length n.words then Ok 0
-      else Ok n.words.(offset))
+(* The one content-reference path.  Every read and write, mediated or
+   raw, checks [0 <= offset < max_segment_words] first; a write then
+   charges the governing quota cell for any growth before the page
+   materializes, and only then stores.  Nothing can charge for an
+   offset the store would refuse. *)
+let in_bounds offset =
+  if offset < 0 || offset >= max_segment_words then Error (Out_of_bounds offset) else Ok ()
 
-let pages_for t offset = ((offset + 1) + t.words_per_page - 1) / t.words_per_page
+let load n offset =
+  let* () = in_bounds offset in
+  Ok (if offset >= Array.length n.words then 0 else n.words.(offset))
 
-(* Charge the quota cell for growing a segment to cover [offset],
-   without touching contents.  Used by the SDW-checked write path (the
-   kernel's segment control charges quota whichever way the write
-   arrives). *)
+let grow t n offset =
+  let* () = in_bounds offset in
+  let growth = max 0 ((offset + t.words_per_page) / t.words_per_page - n.pages) in
+  if growth > 0 then charge_pages t n growth else Ok ()
+
+let store t n ~offset ~value =
+  let* () = grow t n offset in
+  ensure_capacity t n offset;
+  n.words.(offset) <- value;
+  Ok ()
+
 let charge_growth t ~uid ~offset =
   let* n = seg_node t uid in
-  let growth = max 0 (pages_for t offset - n.pages) in
-  if growth > 0 then charge_pages t n growth else Ok ()
+  grow t n offset
+
+let read_word t ~subject ~uid ~offset =
+  let* n = seg_node t uid in
+  guard t subject n ~requested:Mode.r (fun () -> load n offset)
 
 let write_word t ~subject ~uid ~offset ~value =
   let* n = seg_node t uid in
-  guard t subject n ~requested:Mode.w (fun () ->
-      if offset < 0 || offset >= max_segment_words then Error (Out_of_bounds offset)
-      else begin
-        (* Growth is charged to the governing quota cell before any
-           page materializes. *)
-        let growth = max 0 (pages_for t offset - n.pages) in
-        let* () = if growth > 0 then charge_pages t n growth else Ok () in
-        ensure_capacity t n offset;
-        n.words.(offset) <- value;
-        Ok ()
-      end)
+  guard t subject n ~requested:Mode.w (fun () -> store t n ~offset ~value)
 
 (* Raw accessors for kernel-internal use (already-mediated paths and
    the audit tooling). *)
 let raw_read_word t ~uid ~offset =
-  match seg_node t uid with
-  | Error _ -> None
-  | Ok n -> if offset < 0 then None else if offset >= Array.length n.words then Some 0 else Some n.words.(offset)
+  let* n = seg_node t uid in
+  load n offset
 
 let raw_write_word t ~uid ~offset ~value =
-  match seg_node t uid with
-  | Error _ -> false
-  | Ok n ->
-      if offset < 0 || offset >= max_segment_words then false
-      else begin
-        ensure_capacity t n offset;
-        n.words.(offset) <- value;
-        true
-      end
+  let* n = seg_node t uid in
+  store t n ~offset ~value
 
 (* The SDW the kernel would build for this subject and segment: the
    meeting point of ACL, label and brackets.  Returns the effective

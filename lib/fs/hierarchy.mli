@@ -47,7 +47,6 @@ val acl_of : t -> Uid.t -> Acl.t option
 val brackets_of : t -> Uid.t -> Brackets.t option
 val gate_bound_of : t -> Uid.t -> int option
 val name_of : t -> Uid.t -> string option
-val parent_of : t -> Uid.t -> Uid.t option
 val page_count_of : t -> Uid.t -> int option
 val path_of : t -> Uid.t -> string option
 val node_count : t -> int
@@ -118,8 +117,8 @@ val pages_charged_of : t -> Uid.t -> int option
 
 val charge_growth : t -> uid:Uid.t -> offset:int -> (unit, error) result
 (** Charge the governing cell for growing the segment to cover
-    [offset] (no contents touched); used by the SDW-checked write
-    path. *)
+    [offset] (no contents touched).  Refuses an offset outside
+    [0, max_segment_words) with [Out_of_bounds] before charging. *)
 
 val check_quota_invariant : t -> bool
 (** Every cell's charge equals its governed subtree's page total and
@@ -197,18 +196,22 @@ val resolve : t -> subject:Policy.subject -> path:string -> (Uid.t, error) resul
 
 val max_segment_words : int
 
+(** One code path: every reference checks
+    [0 <= offset < max_segment_words] first ([Out_of_bounds] otherwise),
+    and a write charges its growth ({!charge_growth}) before it
+    stores.  Reading past the written length yields 0 (segments are
+    zero-extended). *)
+
 val read_word :
   t -> subject:Policy.subject -> uid:Uid.t -> offset:int -> (int, error) result
-(** Reading past the written length yields 0 (segments are
-    zero-extended). *)
 
 val write_word :
   t -> subject:Policy.subject -> uid:Uid.t -> offset:int -> value:int -> (unit, error) result
 
-val raw_read_word : t -> uid:Uid.t -> offset:int -> int option
-(** Kernel-internal (unmediated); [None] if not a segment. *)
+val raw_read_word : t -> uid:Uid.t -> offset:int -> (int, error) result
+(** Kernel-internal (unmediated): the same path without the guard. *)
 
-val raw_write_word : t -> uid:Uid.t -> offset:int -> value:int -> bool
+val raw_write_word : t -> uid:Uid.t -> offset:int -> value:int -> (unit, error) result
 
 (** {1 Descriptor construction} *)
 

@@ -17,8 +17,6 @@
 
 type variant = Unified | Split
 
-let variant_name = function Unified -> "unified (naming in kernel)" | Split -> "split (naming in user ring)"
-
 type entry = {
   segno : int;
   uid : Uid.t;
@@ -77,8 +75,6 @@ let uid_of_segno t segno =
 let segno_of_uid t ~uid =
   Option.map (fun e -> e.segno) (Hashtbl.find_opt t.by_uid (Uid.to_int uid))
 
-let is_known t ~uid = Hashtbl.mem t.by_uid (Uid.to_int uid)
-
 let set_sdw t segno sdw =
   match Hashtbl.find_opt t.by_segno segno with
   | Some entry ->
@@ -100,14 +96,6 @@ let record_pathname t segno path =
       | Some entry ->
           entry.pathname <- Some path;
           Ok ()
-      | None -> Error (Unknown_segno segno))
-
-let pathname_of t segno =
-  match t.variant with
-  | Split -> Error Naming_not_in_kernel
-  | Unified -> (
-      match Hashtbl.find_opt t.by_segno segno with
-      | Some entry -> Ok entry.pathname
       | None -> Error (Unknown_segno segno))
 
 let terminate t segno =

@@ -3,8 +3,6 @@
 
 type strategy = Circular of Circular_buffer.t | Infinite of Infinite_buffer.t
 
-val strategy_name : strategy -> string
-
 type result = {
   strategy : string;
   offered : int;
@@ -61,8 +59,6 @@ module Link : sig
     | Dropped of { cycles : int }  (** lost on the wire ([site.drop]) *)
     | Severed of { cycles : int }
         (** partitioned, by operator or by [site.partition] *)
-
-  val delay_factor : int
 
   val create : ?latency:int -> name:string -> unit -> t
 

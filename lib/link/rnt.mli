@@ -18,9 +18,6 @@ val bind : t -> name:string -> segno:int -> (unit, error) result
 val lookup : t -> name:string -> (int, error) result
 val unbind : t -> name:string -> (unit, error) result
 val names_for_segno : t -> segno:int -> string list
-val binding_count : t -> int
-
-val words_per_binding : int
 
 val protected_words : t -> int
 (** 0 when user-ring: the structure is private, not kernel data. *)

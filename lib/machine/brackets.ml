@@ -23,7 +23,6 @@ let make ~r1 ~r2 ~r3 =
   { write_top = Ring.of_int r1; execute_top = Ring.of_int r2; call_top = Ring.of_int r3 }
 
 let write_top t = t.write_top
-let execute_top t = t.execute_top
 let call_top t = t.call_top
 
 (* Common shapes.  [kernel_gate]: a ring-0 procedure callable from any
@@ -32,7 +31,6 @@ let user_data = make ~r1:4 ~r2:4 ~r3:4
 let user_procedure = make ~r1:4 ~r2:4 ~r3:4
 let kernel_private = make ~r1:0 ~r2:0 ~r3:0
 let kernel_gate = make ~r1:0 ~r2:0 ~r3:7
-let policy_ring_gate = make ~r1:1 ~r2:1 ~r3:7
 
 let for_single_ring r = make ~r1:r ~r2:r ~r3:r
 

@@ -9,9 +9,6 @@ val make : r1:int -> r2:int -> r3:int -> t
 val write_top : t -> Ring.t
 (** r1: outermost ring that may write. *)
 
-val execute_top : t -> Ring.t
-(** r2: outermost ring that may read or execute in place. *)
-
 val call_top : t -> Ring.t
 (** r3: outermost ring that may call inward through a gate. *)
 
@@ -27,9 +24,6 @@ val kernel_private : t
 val kernel_gate : t
 (** (0,0,7): a ring-0 procedure callable from any ring through a gate
     — the shape of every supervisor entry point. *)
-
-val policy_ring_gate : t
-(** (1,1,7): a ring-1 procedure (the partitioned policy layer). *)
 
 val for_single_ring : int -> t
 (** (r,r,r). *)

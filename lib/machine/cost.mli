@@ -28,8 +28,6 @@ val h645 : t
 val h6180 : t
 val of_processor : processor -> t
 
-val call_cost : t -> cross_ring:bool -> int
-val return_cost : t -> cross_ring:bool -> int
 val round_trip_call_cost : t -> cross_ring:bool -> int
 
 val cross_ring_penalty : t -> float
@@ -37,4 +35,3 @@ val cross_ring_penalty : t -> float
     the 645, ~1 on the 6180. *)
 
 val processor_name : processor -> string
-val pp_processor : Format.formatter -> processor -> unit

@@ -459,7 +459,7 @@ let canonical t =
           | Some brackets -> Fmt.str "%a" Brackets.pp brackets
           | None -> "?")
           (Option.value ~default:0 (Hierarchy.gate_bound_of hierarchy uid))
-          (Option.value ~default:(-1) (Hierarchy.raw_read_word hierarchy ~uid ~offset:0))
+          (Result.value ~default:(-1) (Hierarchy.raw_read_word hierarchy ~uid ~offset:0))
   in
   render_object "s0" t.s0;
   render_object "s1" t.s1;

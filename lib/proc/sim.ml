@@ -145,8 +145,6 @@ let fault_injector t = t.faults
 
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
-let scheduler_installed t = Option.map (fun s -> s.sched_name) t.scheduler
-
 let now t = Clock.now t.clock
 
 let cost_model t = t.cost
@@ -169,8 +167,6 @@ let new_channel t ~name =
   t.next_chan <- chan_id + 1;
   { chan_id; chan_name = name; waiters = Multics_util.Fqueue.empty; pending = 0 }
 
-let channel_name c = c.chan_name
-
 let waiter_count c = Multics_util.Fqueue.length c.waiters
 
 let pending_wakeups c = c.pending
@@ -183,11 +179,8 @@ let proc t pid =
   | None -> invalid_arg (Printf.sprintf "Sim: unknown pid %d" pid)
 
 let name_of t pid = (proc t pid).pname
-let ring_of t pid = (proc t pid).ring
-let set_ring t pid ring = (proc t pid).ring <- ring
 let state_of t pid = (proc t pid).state
 let cycles_of t pid = (proc t pid).cycles_used
-let block_count_of t pid = (proc t pid).block_count
 let perturbations_of t pid = (proc t pid).perturbation_count
 let failure_of t pid = (proc t pid).failure
 let exit_channel t pid = (proc t pid).exit_chan
@@ -350,8 +343,6 @@ let compute cycles =
   if cycles > 0 then Effect.perform (Compute cycles)
 
 let block chan = Effect.perform (Block_on chan)
-
-let yield () = Effect.perform (Compute 1)
 
 (* ----- Execution engine ----- *)
 

@@ -72,9 +72,6 @@ val set_scheduler : t -> scheduler option -> unit
     spawning the processes it is to manage: already-queued processes
     stay in the fallback FIFO queue. *)
 
-val scheduler_installed : t -> string option
-(** [sched_name] of the installed controller, if any. *)
-
 val reschedule : t -> unit
 (** Re-run dispatch: bind ready processes to free VPs.  Call after an
     external change makes new processes selectable (e.g. the traffic
@@ -89,8 +86,6 @@ val counters : t -> Multics_util.Stats.Counters.t
 (** {1 Channels} *)
 
 val new_channel : t -> name:string -> chan
-val channel_name : chan -> string
-val waiter_count : chan -> int
 val pending_wakeups : chan -> int
 
 val wakeup : t -> chan -> unit
@@ -113,12 +108,7 @@ val compute : int -> unit
 val block : chan -> unit
 (** Wait for a wakeup on the channel.  Only inside a process body. *)
 
-val yield : unit -> unit
-(** Let simultaneous events run (costs one cycle). *)
-
 val name_of : t -> pid -> string
-val ring_of : t -> pid -> Ring.t
-val set_ring : t -> pid -> Ring.t -> unit
 
 type proc_state = Unborn | Ready | Running | Blocked of chan | Terminated
 
@@ -127,7 +117,6 @@ val state_of : t -> pid -> proc_state
 val cycles_of : t -> pid -> int
 (** Total cycles the process has consumed (including perturbations). *)
 
-val block_count_of : t -> pid -> int
 val perturbations_of : t -> pid -> int
 
 val failure_of : t -> pid -> string option
@@ -177,5 +166,4 @@ val quiescent : t -> bool
 
 val set_trace : t -> bool -> unit
 val trace : t -> string -> unit
-val tracef : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val trace_lines : t -> (int * string) list

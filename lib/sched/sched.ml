@@ -406,8 +406,6 @@ let create ?(eligibility_cap = 0) ?(policy = default_mlf) ?plant sim =
        });
   t
 
-let uninstall t = Sim.set_scheduler t.sim None
-
 let negotiated_cap ~core_frames ~working_set = max 1 (core_frames / max 1 working_set)
 
 let status t =

@@ -63,9 +63,6 @@ module Mlf : sig
 
   val promotions : t -> int
   (** Aging promotions performed so far. *)
-
-  val set_base_quantum : t -> int -> unit
-  val set_age_after : t -> int -> unit
 end
 
 (** {1 Policies} *)
@@ -94,8 +91,6 @@ type policy =
 
 val default_mlf : policy
 (** [Mlf { levels = 4; base_quantum = 4000; age_after = 40_000 }]. *)
-
-val policy_name : policy -> string
 
 val user_ring_mlf :
   ?levels:int -> ?base_quantum:int -> ?age_after:int -> unit -> external_policy
@@ -128,9 +123,6 @@ val create :
     preemption storm — pure extra switching cost, never a change in
     what any process may touch. *)
 
-val uninstall : t -> unit
-(** Remove the controller from the simulator (back to seed FIFO). *)
-
 val sim : t -> Sim.t
 val policy : t -> policy
 val name : t -> string
@@ -142,11 +134,6 @@ val negotiated_cap : core_frames:int -> working_set:int -> int
     working sets exceed core — the thrashing knee. *)
 
 val eligibility_cap : t -> int
-
-val set_eligibility_cap : t -> int -> unit
-(** Raising the cap admits stalled processes immediately (and
-    redispatches); lowering it only throttles future admissions —
-    holders keep eligibility until they surrender it. *)
 
 val release_eligibility : t -> Sim.pid -> unit
 (** Surrender the process's eligibility slot — the Multics controller

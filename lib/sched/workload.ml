@@ -33,12 +33,6 @@ let policy_choice_name = function
   | Use_fifo -> "fifo"
   | Use_external -> "external"
 
-let policy_choice_of_string = function
-  | "mlf" -> Some Use_mlf
-  | "fifo" -> Some Use_fifo
-  | "external" -> Some Use_external
-  | _ -> None
-
 type spec = {
   seed : int;
   users : int;
@@ -552,3 +546,22 @@ let run_fleet_sweep ?(revoke_every = 1_000) ?(fault_spec = "") ~users ~sites ~se
     sw_epoch = Site.epoch fleet;
     sw_signature = Site.signature fleet;
   }
+
+(* ----- mediation parity ----- *)
+
+type mediation = { digest : int; granted : int; refused : int; completed : int }
+
+let mediation r =
+  {
+    digest = r.r_signature;
+    granted = r.r_audit_granted;
+    refused = r.r_audit_refused;
+    completed = r.r_completed;
+  }
+
+let sweep_mediation r =
+  { digest = r.sw_signature; granted = r.sw_granted; refused = r.sw_refused; completed = 0 }
+
+let mediation_to_string m =
+  Printf.sprintf "digest %08x, %d granted / %d refused, %d completed" m.digest m.granted
+    m.refused m.completed

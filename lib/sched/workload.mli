@@ -20,11 +20,6 @@ module Sim = Multics_proc.Sim
     stays pure data). *)
 type policy_choice = Use_mlf | Use_fifo | Use_external
 
-val policy_choice_name : policy_choice -> string
-
-val policy_choice_of_string : string -> policy_choice option
-(** ["mlf"], ["fifo"], ["external"]. *)
-
 type spec = {
   seed : int;
   users : int;  (** interactive sessions *)
@@ -119,3 +114,20 @@ val run_fleet_sweep :
     [sw_signature] is comparable across site counts — and must be
     equal (E20).  Audit {e recording} is disabled for memory at the
     million-user points; mediation and its counters are unchanged. *)
+
+(** {1 Mediation parity}
+
+    What every parity oracle over workload runs compares (E17's
+    policies, E18's CPU counts, E20's site counts): two runs mediated
+    alike iff their projections are equal. *)
+
+type mediation = {
+  digest : int;  (** [r_signature] / [sw_signature] *)
+  granted : int;
+  refused : int;
+  completed : int;  (** interactions completed; 0 for a sweep row *)
+}
+
+val mediation : result -> mediation
+val sweep_mediation : sweep_row -> mediation
+val mediation_to_string : mediation -> string

@@ -56,9 +56,6 @@ module Command : sig
 
   val error_to_string : error -> string
 
-  val tune_params : string list
-  (** The tuning parameters the traffic controller accepts. *)
-
   val parse : string list -> (t, error) result option
   (** [None]: the word list is not an operator-family command (the
       shell's other parsers own it). *)

@@ -557,10 +557,6 @@ let heal_link t a b =
   check_pair t a b;
   Link.heal (link_for t a b)
 
-let link_partitioned t a b =
-  check_pair t a b;
-  Link.partitioned (link_for t a b)
-
 let crash t i =
   let m = member t i in
   (* Volatile state dies with the site: every cached decision, every

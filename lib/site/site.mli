@@ -142,11 +142,6 @@ val dispatch : t -> user:int -> handle:int -> Api.Call.request -> Api.Call.respo
     operands are process-local, so they cannot be replayed remotely;
     the path-addressed forms are the fleet calling sequence. *)
 
-val dispatch_at : t -> site:int -> handle:int -> Api.Call.request -> Api.Call.response
-(** Site-local dispatch with the fence applied but {e no replication}
-    — the operator/test surface for probing one site.  Refuses when
-    the site is not [Active]. *)
-
 val probe :
   t -> site:int -> handle:int -> path:string ->
   requested:Multics_machine.Mode.t ->
@@ -161,7 +156,6 @@ val partition : t -> int -> int -> unit
 (** Operator-sever the link between two sites ([site partition a b]). *)
 
 val heal_link : t -> int -> int -> unit
-val link_partitioned : t -> int -> int -> bool
 
 val crash : t -> int -> unit
 (** Take a site down: volatile state (every cached access decision) is

@@ -340,8 +340,6 @@ let set_deferred_connects t flag =
   end;
   t.deferred_connects <- flag
 
-let deferred_connects t = t.deferred_connects
-
 let deliver_connects t ~cpu =
   let mine, rest =
     List.partition (fun (target, _, _) -> target = cpu) (List.rev t.pending)
@@ -439,5 +437,3 @@ let status t =
   in
   let per_cpu = List.init t.ncpus (fun i -> (i, cpu_status t i)) in
   (global, per_cpu)
-
-let connect_cycles t = t.connect_cycles

@@ -135,8 +135,6 @@ val set_deferred_connects : t -> bool -> unit
 (** Turning the mode {e off} first delivers everything still queued,
     restoring coherence. *)
 
-val deferred_connects : t -> bool
-
 val deliver_connects : t -> cpu:int -> int
 (** Deliver every queued connect addressed to [cpu], in arrival
     order; returns how many were delivered. *)
@@ -198,5 +196,3 @@ val cpu_status : t -> int -> (string * int) list
 val status : t -> (string * int) list * (int * (string * int) list) list
 (** [(plant-wide readings, per-CPU readings)] — the [smp status]
     shell command's payload. *)
-
-val connect_cycles : t -> Multics_obs.Obs.Histogram.t

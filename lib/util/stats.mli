@@ -11,8 +11,6 @@ type summary = {
   max : float;
 }
 
-val empty_summary : summary
-
 val summarize : float list -> summary
 (** Full summary of a sample list; [empty_summary] for []. *)
 
@@ -22,8 +20,6 @@ val mean : float list -> float
 
 val ratio : num:float -> den:float -> float
 (** [num /. den], [nan] when [den = 0.]. *)
-
-val pp_summary : Format.formatter -> summary -> unit
 
 (** Named integer counters for event accounting. *)
 module Counters : sig

@@ -148,7 +148,6 @@ let pid t = t.pid
 let sweeps_done t = t.sweeps_done
 let pages_backed_up t = t.pages_backed_up
 let tape_errors t = t.tape_errors
-let tape_giveups t = t.tape_giveups
 
 let sweep_trace t = List.rev t.trace
 

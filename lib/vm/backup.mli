@@ -51,9 +51,6 @@ val tape_errors : t -> int
 (** Injected tape write errors observed (also [backup.tape_errors] in
     the obs registry). *)
 
-val tape_giveups : t -> int
-(** Pages abandoned after exhausting the retry budget in one sweep. *)
-
 val sweep_trace : t -> (int * int) list
 (** (completion time, pages backed up) per sweep. *)
 

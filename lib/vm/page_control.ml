@@ -340,9 +340,6 @@ let start t =
                ~name:"pc.bulk-freer" (bulk_freer_body t))
       end
 
-let core_freer_pid t = t.core_freer_pid
-let bulk_freer_pid t = t.bulk_freer_pid
-
 (* ----- The fault path ----- *)
 
 let record_fault t record =
@@ -435,14 +432,10 @@ let reference ?(write = false) t ~pid ~page =
 
 (* ----- The PTW lookaside, exposed ----- *)
 
-let flush_ptw t = Avc.flush t.ptw
-let ptw_stats t = ("size", Avc.size t.ptw) :: Avc.counters t.ptw
-
 (* The lookaside's generation counters, exposed so per-CPU PTW fronts
    (lib/smp) can share them: an eviction's bump then stales every
    CPU's front in the same step it stales this cache. *)
 let ptw_gens t = Avc.gens t.ptw
-let ptw_hit_ratio t = Avc.hit_ratio t.ptw
 
 (* Soundness of the lookaside: every page it would vouch for really is
    core-resident.  Checked by tests after eviction storms.  Keys are

@@ -37,9 +37,6 @@ val start : t -> unit
 (** Spawn the dedicated kernel processes (parallel discipline; no-op
     for sequential).  Idempotent.  Each reserves a virtual processor. *)
 
-val core_freer_pid : t -> Sim.pid option
-val bulk_freer_pid : t -> Sim.pid option
-
 val reference : ?write:bool -> t -> pid:Sim.pid -> page:Page_id.t -> int
 (** Touch a page from inside a running process body ([pid] is the
     caller's own pid, used for fault attribution).  Handles the page
@@ -70,13 +67,6 @@ val counters : t -> Multics_util.Stats.Counters.t
 val page_sid : t -> Page_id.t -> Multics_access.Sid.t
 (** The page's dense SID (interned on first sight, never reused).
     The key the per-CPU PTW fronts (lib/smp) take. *)
-
-val flush_ptw : t -> unit
-
-val ptw_stats : t -> (string * int) list
-(** [("size", _)] plus the obs counter readings. *)
-
-val ptw_hit_ratio : t -> float
 
 val check_ptw_invariant : t -> bool
 (** Every page the lookaside would vouch for is core-resident. *)

@@ -3,6 +3,7 @@
    determinism, and the end-to-end oracle parity between pool sizes. *)
 
 module Par = Multics_par.Par
+module Oracle = Multics_par.Oracle
 module Obs = Multics_obs.Obs
 module E19 = Multics_experiments.E19_sid
 
@@ -93,18 +94,67 @@ let test_stats_accounting () =
   let s = Par.Stats.snapshot () in
   Alcotest.(check int) "reset clears runs" 0 s.Par.Stats.runs
 
+let test_oracle_witness () =
+  (* Divergences planted at two seeds; seed 3 reports its later step
+     first, so the witness must pick the lowest step, not the first
+     reported. *)
+  let renders = Atomic.make 0 in
+  let render v =
+    Atomic.incr renders;
+    Printf.sprintf "<%d>" v
+  in
+  let run ~planted jobs =
+    snd
+      (Oracle.run ~jobs ~seeds:10 ~equal:Int.equal ~render (fun ~seed ~report ->
+           let steps = if seed = 3 then [ 7; 4; 0; 1 ] else [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
+           List.iter
+             (fun step ->
+               let diverges = planted && ((seed = 3 && (step = 7 || step = 4)) || (seed = 8 && step = 1)) in
+               report step step (if diverges then -step else step))
+             steps))
+  in
+  let check_planted jobs =
+    let o = run ~planted:true jobs in
+    let what = Printf.sprintf "jobs=%d" jobs in
+    Alcotest.(check int) (what ^ " seeds") 10 o.Oracle.seeds;
+    Alcotest.(check int) (what ^ " divergences") 3 o.Oracle.divergences;
+    match o.Oracle.witness with
+    | None -> Alcotest.failf "%s: no witness" what
+    | Some w ->
+        Alcotest.(check (pair int int)) (what ^ " witness seed, step") (3, 4) (w.Oracle.seed, w.Oracle.step);
+        Alcotest.(check (pair string string)) (what ^ " renderings") ("<4>", "<-4>")
+          (w.Oracle.reference, w.Oracle.variant);
+        o
+  in
+  let o1 = check_planted 1 and o4 = check_planted 4 in
+  Alcotest.(check bool) "identical across pool sizes" true (o1 = o4);
+  Alcotest.(check string) "witness line under the broken verdict"
+    "[BROKEN] x\n[witness] seed 3 step 4: reference <4> | variant <-4>"
+    (Oracle.verdict o4 ~pass:"[ok]" ~fail:"[BROKEN]" "x");
+  Atomic.set renders 0;
+  List.iter
+    (fun jobs ->
+      let o = run ~planted:false jobs in
+      Alcotest.(check int) "no divergences" 0 o.Oracle.divergences;
+      Alcotest.(check bool) "no witness" true (o.Oracle.witness = None);
+      Alcotest.(check string) "passing verdict unchanged" "[ok] x"
+        (Oracle.verdict o ~pass:"[ok]" ~fail:"[BROKEN]" "x"))
+    [ 1; 4 ];
+  Alcotest.(check int) "render never called on a clean run" 0 (Atomic.get renders)
+
 let test_e19_oracle_parity_across_pool_sizes () =
   (* The end-to-end contract: the E19 churn oracle — full kernel boots,
      ACL churn, cache flushes per seed — produces identical run stats at
      every pool size. *)
-  let seq = E19.parity_runs ~jobs:1 ~refs:120 () in
-  let par = E19.parity_runs ~jobs:4 ~refs:120 () in
+  let seq, seq_oracle = E19.parity_runs ~jobs:1 ~refs:120 () in
+  let par, par_oracle = E19.parity_runs ~jobs:4 ~refs:120 () in
   Alcotest.(check int) "same number of runs" (List.length seq) (List.length par);
+  Alcotest.(check int) "same divergences" seq_oracle.Oracle.divergences
+    par_oracle.Oracle.divergences;
+  Alcotest.(check bool) "same witness" true (seq_oracle.Oracle.witness = par_oracle.Oracle.witness);
   List.iteri
     (fun i ((a : E19.run_stats), (b : E19.run_stats)) ->
       Alcotest.(check int) (Printf.sprintf "seed %d refs" i) a.E19.refs b.E19.refs;
-      Alcotest.(check int) (Printf.sprintf "seed %d divergences" i) a.E19.divergences
-        b.E19.divergences;
       Alcotest.(check int) (Printf.sprintf "seed %d edits" i) a.E19.edits b.E19.edits;
       Alcotest.(check int) (Printf.sprintf "seed %d flushes" i) a.E19.flushes b.E19.flushes;
       Alcotest.(check int) (Printf.sprintf "seed %d rebuilds" i) a.E19.rebuilds b.E19.rebuilds)
@@ -118,6 +168,8 @@ let suite =
     Alcotest.test_case "nested map degrades inline" `Quick test_nested_map_degrades_inline;
     Alcotest.test_case "exception determinism" `Quick test_exception_determinism;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
+    Alcotest.test_case "oracle witness: lowest seed, lowest step, any pool" `Quick
+      test_oracle_witness;
     Alcotest.test_case "e19 oracle parity across pool sizes" `Quick
       test_e19_oracle_parity_across_pool_sizes;
   ]

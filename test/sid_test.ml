@@ -197,15 +197,10 @@ let test_av_table_rebuild () =
 (* ----- The parity oracle (the E19 drum, run small here) ----- *)
 
 let test_parity_oracle_100_seeds () =
-  let total =
-    List.fold_left
-      (fun acc seed ->
-        let r = Multics_experiments.E19_sid.run_seed ~seed ~refs:120 in
-        acc + r.Multics_experiments.E19_sid.divergences)
-      0
-      (List.init 100 Fun.id)
-  in
-  Alcotest.(check int) "0 divergences across 100 seeds" 0 total
+  let runs, oracle = Multics_experiments.E19_sid.parity_runs ~jobs:1 ~refs:120 () in
+  Alcotest.(check int) "100 seeds" 100 (List.length runs);
+  Alcotest.(check int) "0 divergences across 100 seeds" 0
+    oracle.Multics_par.Oracle.divergences
 
 let suite =
   [

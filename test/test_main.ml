@@ -34,4 +34,5 @@ let () =
       ("par", Par_test.suite);
       ("spec", Spec_test.suite);
       ("trail", Trail_test.suite);
+      ("hostile", Hostile_test.suite);
     ]

@@ -47,7 +47,8 @@ let test_sequential_cascade () =
   Alcotest.(check int) "six faults" 6 s.Page_control.fault_total;
   Alcotest.(check bool) "cascades happened" true (s.Page_control.cascaded_faults > 0);
   Alcotest.(check bool) "deep cascades happened" true (s.Page_control.deep_cascade_faults > 0);
-  Alcotest.(check bool) "conservation" true (Memory.check_conservation mem)
+  Alcotest.(check bool) "conservation" true (Memory.check_conservation mem);
+  Alcotest.(check bool) "lookaside vouches only for core" true (Page_control.check_ptw_invariant pc)
 
 let test_parallel_fault_storm () =
   let sim, mem, pc = setup ~core:4 ~bulk:4 ~disk:60 ~vps:8 Page_control.Parallel_processes in
@@ -64,6 +65,7 @@ let test_parallel_fault_storm () =
   let s = Page_control.summarize pc in
   Alcotest.(check int) "24 faults" 24 s.Page_control.fault_total;
   Alcotest.(check bool) "conservation" true (Memory.check_conservation mem);
+  Alcotest.(check bool) "lookaside vouches only for core" true (Page_control.check_ptw_invariant pc);
   (* No user process may be left blocked: the freers must have kept
      frames coming. *)
   let stuck =
