@@ -678,6 +678,21 @@ let git_revision () =
       ignore (Unix.close_process_in ic);
       if rev = "" then "unknown" else rev
 
+(* Append one record to [BENCH_<bench>.json]: an append-only JSON-Lines
+   trajectory, committed with each change, so the growth of the hot
+   paths stays reviewable instead of each run clobbering the last.
+   Every record is stamped with the time, the git revision and the
+   host's core count, so trajectories compare across runs and hosts;
+   [fields] is the rest of the object's members. *)
+let append_record ~bench fields =
+  let file = Printf.sprintf "BENCH_%s.json" bench in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
+  Printf.fprintf oc {|{"bench": "%s", "unix_time": %.0f, "git_rev": "%s", "nproc": %d, %s}|} bench
+    (Unix.time ()) (git_revision ()) (Domain.recommended_domain_count ()) fields;
+  output_char oc '\n';
+  close_out oc;
+  print_endline ("bench smoke: appended to " ^ file)
+
 let smoke_dispatch () =
   let open Multics_kernel in
   Obs.set_enabled true;
@@ -729,15 +744,11 @@ let smoke_dispatch () =
     print_endline "bench smoke: FAIL — a stripped-gate refusal costs more than a grant";
     exit 1
   end;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_dispatch.json" in
-  Printf.fprintf oc
-    {|{"bench": "dispatch", "unix_time": %.0f, "git_rev": "%s", "nproc": %d, "trials": %d, "iters": %d, "shallow_depth": %d, "deep_depth": %d, "admitted_shallow_ns": %.2f, "admitted_deep_ns": %.2f, "depth_ratio": %.3f, "max_depth_ratio": %.2f, "stripped_refusal_ns": %.2f, "admitted_ns": %.2f, "refusal_ratio": %.3f, "max_refusal_ratio": %.2f}
-|}
-    (Unix.time ()) (git_revision ()) (Domain.recommended_domain_count ()) trials iters
-    !shallow_depth deep_depth (ns shallow_t) (ns deep_t) depth_ratio max_depth_ratio (ns refusal_t)
-    (ns grant_t) refusal_ratio max_refusal_ratio;
-  close_out oc;
-  print_endline "bench smoke: appended to BENCH_dispatch.json"
+  append_record ~bench:"dispatch"
+    (Printf.sprintf
+       {|"trials": %d, "iters": %d, "shallow_depth": %d, "deep_depth": %d, "admitted_shallow_ns": %.2f, "admitted_deep_ns": %.2f, "depth_ratio": %.3f, "max_depth_ratio": %.2f, "stripped_refusal_ns": %.2f, "admitted_ns": %.2f, "refusal_ratio": %.3f, "max_refusal_ratio": %.2f|}
+       trials iters !shallow_depth deep_depth (ns shallow_t) (ns deep_t) depth_ratio
+       max_depth_ratio (ns refusal_t) (ns grant_t) refusal_ratio max_refusal_ratio)
 
 let smoke () =
   let iters = 300_000 and trials = 5 in
@@ -856,19 +867,12 @@ let smoke () =
   Printf.printf
     "bench smoke: subject SID memo %.1f ns, cold re-intern %.1f ns, rebuild (%d cells) %.1f ns\n"
     (ns_per memo_t iters) (ns_per cold_t iters) rebuild_cells (ns_per rebuild_t rebuild_iters);
-  (* The trajectory file is append-only (one JSON object per line, a
-     JSON-Lines log) and committed with each PR, so the growth of the
-     hot paths stays reviewable across the stack instead of each run
-     clobbering the last. *)
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_e19_sid.json" in
-  Printf.fprintf oc
-    {|{"bench": "e19_sid", "unix_time": %.0f, "trials": %d, "iters": %d, "flat_table_hit_ns": %.2f, "fresh_policy_check_ns": %.2f, "fresh_recompute_ns": %.2f, "speedup_flat_vs_fresh_check": %.3f, "speedup_cached_vs_fresh": %.3f, "required_speedup_flat_vs_fresh_check": %.2f, "subject_intern_memo_ns": %.2f, "subject_intern_cold_ns": %.2f, "table_rebuild_ns": %.2f, "table_rebuild_cells": %d, "hit_ratio": %.4f}
-|}
-    (Unix.time ()) trials iters (ns_per flat_t iters) (ns_per fresh_check_t iters)
-    (ns_per uncached iters) sid_speedup speedup sid_required_speedup (ns_per memo_t iters)
-    (ns_per cold_t iters) (ns_per rebuild_t rebuild_iters) rebuild_cells hit_ratio;
-  close_out oc;
-  print_endline "bench smoke: appended to BENCH_e19_sid.json";
+  append_record ~bench:"e19_sid"
+    (Printf.sprintf
+       {|"trials": %d, "iters": %d, "flat_table_hit_ns": %.2f, "fresh_policy_check_ns": %.2f, "fresh_recompute_ns": %.2f, "speedup_flat_vs_fresh_check": %.3f, "speedup_cached_vs_fresh": %.3f, "required_speedup_flat_vs_fresh_check": %.2f, "subject_intern_memo_ns": %.2f, "subject_intern_cold_ns": %.2f, "table_rebuild_ns": %.2f, "table_rebuild_cells": %d, "hit_ratio": %.4f|}
+       trials iters (ns_per flat_t iters) (ns_per fresh_check_t iters) (ns_per uncached iters)
+       sid_speedup speedup sid_required_speedup (ns_per memo_t iters) (ns_per cold_t iters)
+       (ns_per rebuild_t rebuild_iters) rebuild_cells hit_ratio);
   (* The parallel-harness gate: the 100-seed E19 oracle must produce
      the same results at every pool size, and on a machine with at
      least 4 cores the 4-domain run must at least halve the sequential
@@ -886,62 +890,58 @@ let smoke () =
   let seq_t = median3 (List.map fst seq_samples) in
   let reference = snd (List.hd seq_samples) in
   let oracle_divergences = (snd reference).Multics_par.Oracle.divergences in
-  if cores < 2 then begin
-    (* A 4-domain pool on one core measures scheduler thrash, not the
-       harness: skip the timing, keep the determinism check over the
-       sequential samples, and record the skip explicitly so the
-       trajectory shows a gap instead of a fabricated speedup. *)
-    let identical = List.for_all (fun (_, runs) -> runs = reference) seq_samples in
-    Printf.printf
-      "bench smoke: [harness] 100-seed E19 oracle (%d refs/seed, %d divergences) — sequential %.3f s, 4-domain timing skipped (%d core), results %s across trials\n"
-      harness_refs oracle_divergences seq_t cores
-      (if identical then "identical" else "DIVERGENT");
-    if not identical then begin
-      print_endline "bench smoke: FAIL — repeated sequential runs disagreed";
-      exit 1
-    end;
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_harness.json" in
-    Printf.fprintf oc
-      {|{"bench": "harness", "unix_time": %.0f, "trials": %d, "seeds": 100, "refs_per_seed": %d, "sequential_s": %.4f, "skipped": true, "cores": %d, "results_identical": %b}
-|}
-      (Unix.time ()) harness_trials harness_refs seq_t cores identical;
-    close_out oc
-  end
-  else begin
-    let par_samples = List.init harness_trials (fun _ -> time_oracle 4) in
-    let par_t = median3 (List.map fst par_samples) in
-    let identical =
-      List.for_all (fun (_, runs) -> runs = reference) (seq_samples @ par_samples)
-    in
-    let harness_speedup = seq_t /. par_t in
-    let harness_required_speedup = 2.0 in
-    let enforce_speedup = cores >= 4 in
-    Printf.printf
-      "bench smoke: [harness] 100-seed E19 oracle (%d refs/seed, %d divergences) — sequential %.3f s, 4-domain %.3f s, speedup %.2fx%s, results %s across pool sizes\n"
-      harness_refs oracle_divergences seq_t par_t harness_speedup
-      (if enforce_speedup then Printf.sprintf " (required >= %.1fx)" harness_required_speedup
-       else Printf.sprintf " (speedup gate skipped: %d core%s)" cores (if cores = 1 then "" else "s"))
-      (if identical then "identical" else "DIVERGENT");
-    if not identical then begin
-      print_endline "bench smoke: FAIL — pool size changed the oracle's results";
-      exit 1
-    end;
-    if enforce_speedup && harness_speedup < harness_required_speedup then begin
-      print_endline "bench smoke: FAIL — the 4-domain oracle run lost its wall-clock edge";
-      exit 1
-    end;
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_harness.json" in
-    Printf.fprintf oc
-      {|{"bench": "harness", "unix_time": %.0f, "trials": %d, "seeds": 100, "refs_per_seed": %d, "sequential_s": %.4f, "four_domain_s": %.4f, "speedup": %.3f, "required_speedup": %.2f, "cores": %d, "skipped": false, "speedup_gate_enforced": %b, "results_identical": %b}
-|}
-      (Unix.time ()) harness_trials harness_refs seq_t par_t harness_speedup
-      harness_required_speedup cores enforce_speedup identical;
-    close_out oc
-  end;
+  let harness_fields =
+    if cores < 2 then begin
+      (* A 4-domain pool on one core measures scheduler thrash, not the
+         harness: skip the timing, keep the determinism check over the
+         sequential samples, and record the skip explicitly so the
+         trajectory shows a gap instead of a fabricated speedup. *)
+      let identical = List.for_all (fun (_, runs) -> runs = reference) seq_samples in
+      Printf.printf
+        "bench smoke: [harness] 100-seed E19 oracle (%d refs/seed, %d divergences) — sequential %.3f s, 4-domain timing skipped (%d core), results %s across trials\n"
+        harness_refs oracle_divergences seq_t cores
+        (if identical then "identical" else "DIVERGENT");
+      if not identical then begin
+        print_endline "bench smoke: FAIL — repeated sequential runs disagreed";
+        exit 1
+      end;
+      Printf.sprintf
+        {|"trials": %d, "seeds": 100, "refs_per_seed": %d, "sequential_s": %.4f, "skipped": true, "cores": %d, "results_identical": %b|}
+        harness_trials harness_refs seq_t cores identical
+    end
+    else begin
+      let par_samples = List.init harness_trials (fun _ -> time_oracle 4) in
+      let par_t = median3 (List.map fst par_samples) in
+      let identical =
+        List.for_all (fun (_, runs) -> runs = reference) (seq_samples @ par_samples)
+      in
+      let harness_speedup = seq_t /. par_t in
+      let harness_required_speedup = 2.0 in
+      let enforce_speedup = cores >= 4 in
+      Printf.printf
+        "bench smoke: [harness] 100-seed E19 oracle (%d refs/seed, %d divergences) — sequential %.3f s, 4-domain %.3f s, speedup %.2fx%s, results %s across pool sizes\n"
+        harness_refs oracle_divergences seq_t par_t harness_speedup
+        (if enforce_speedup then Printf.sprintf " (required >= %.1fx)" harness_required_speedup
+         else Printf.sprintf " (speedup gate skipped: %d core%s)" cores (if cores = 1 then "" else "s"))
+        (if identical then "identical" else "DIVERGENT");
+      if not identical then begin
+        print_endline "bench smoke: FAIL — pool size changed the oracle's results";
+        exit 1
+      end;
+      if enforce_speedup && harness_speedup < harness_required_speedup then begin
+        print_endline "bench smoke: FAIL — the 4-domain oracle run lost its wall-clock edge";
+        exit 1
+      end;
+      Printf.sprintf
+        {|"trials": %d, "seeds": 100, "refs_per_seed": %d, "sequential_s": %.4f, "four_domain_s": %.4f, "speedup": %.3f, "required_speedup": %.2f, "cores": %d, "skipped": false, "speedup_gate_enforced": %b, "results_identical": %b|}
+        harness_trials harness_refs seq_t par_t harness_speedup harness_required_speedup cores
+        enforce_speedup identical
+    end
+  in
   Option.iter
     (fun line -> print_endline ("bench smoke: " ^ line))
     (Multics_par.Oracle.witness_line (snd reference));
-  print_endline "bench smoke: appended to BENCH_harness.json";
+  append_record ~bench:"harness" harness_fields;
 
   (* ----- the model checker's exploration throughput -----
 
@@ -965,13 +965,10 @@ let smoke () =
     print_endline "bench smoke: FAIL — the healthy plant produced a counterexample";
     exit 1
   end;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_mc.json" in
-  Printf.fprintf oc
-    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "violations": %d}
-|}
-    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations;
-  close_out oc;
-  print_endline "bench smoke: appended to BENCH_mc.json";
+  append_record ~bench:"mc"
+    (Printf.sprintf
+       {|"depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "violations": %d|}
+       mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations);
 
   (* ----- the specialised gate table's dispatch overhead (E22) -----
 
@@ -1014,17 +1011,13 @@ let smoke () =
     print_endline "bench smoke: FAIL — the gate mask made admitted dispatch too expensive";
     exit 1
   end;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_e22_spec.json" in
-  Printf.fprintf oc
-    {|{"bench": "e22_spec", "unix_time": %.0f, "trials": %d, "iters": %d, "unmasked_dispatch_ns": %.2f, "masked_dispatch_ns": %.2f, "overhead_ratio": %.3f, "max_overhead_ratio": %.2f, "stripped_refusal_ns": %.2f, "gates_kept": %d, "gates_full": %d}
-|}
-    (Unix.time ()) trials spec_iters (ns_per unmasked_t spec_iters)
-    (ns_per masked_t spec_iters) spec_overhead spec_max_overhead
-    (ns_per refusal_t spec_iters)
-    (Spec.Specialisation.gate_count spec)
-    (Spec.Specialisation.full_count spec);
-  close_out oc;
-  print_endline "bench smoke: appended to BENCH_e22_spec.json";
+  append_record ~bench:"e22_spec"
+    (Printf.sprintf
+       {|"trials": %d, "iters": %d, "unmasked_dispatch_ns": %.2f, "masked_dispatch_ns": %.2f, "overhead_ratio": %.3f, "max_overhead_ratio": %.2f, "stripped_refusal_ns": %.2f, "gates_kept": %d, "gates_full": %d|}
+       trials spec_iters (ns_per unmasked_t spec_iters) (ns_per masked_t spec_iters)
+       spec_overhead spec_max_overhead (ns_per refusal_t spec_iters)
+       (Spec.Specialisation.gate_count spec)
+       (Spec.Specialisation.full_count spec));
   smoke_dispatch ();
   print_endline "bench smoke: OK"
 

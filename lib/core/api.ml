@@ -2,26 +2,28 @@
 
    Every supervisor entry point from the {!Gate} catalog is reached
    one way: build a {!Call.request} and hand it to {!Call.dispatch} —
-   THE single audited, metered entry point.  (The legacy per-gate
-   wrapper functions are gone: a second door, even a thin one, is a
-   second place specialisation masks and metering must hold.)
+   THE single audited, metered entry point.
 
-   A call is mediated four times over:
+   One per-request match ([Call.route]) decides, once, what a request
+   runs as: the operation (a catalog gate, or a hardware gate call or
+   operator action), the audit target and the body.  [operation_name]
+   reads the operation from it, and [Call.dispatch] runs every route
+   through the one mediation wrapper:
 
-   1. the gate must exist in the running configuration (a removed
-      mechanism's gates are simply absent — the caller must use the
-      user-ring library instead);
-   2. an installed specialisation mask must admit the gate (a
-      stripped gate refuses with the same [Gate_absent] before any
-      kernel state is touched);
+   1. the caller's process must exist (an unknown handle is refused
+      and audited under an anonymous subject);
+   2. a supervisor gate must exist in the running configuration (a
+      removed mechanism's gates are simply absent — the caller must
+      use the user-ring library instead), and an installed
+      specialisation mask must admit it (a stripped gate refuses with
+      the same [Gate_absent] before any kernel state is touched);
    3. the caller's ring must be within the gate's call bracket;
-   4. the operation itself applies the reference monitor (ACL x
-      lattice at descriptor construction, SDW checks at reference).
+   4. the body applies the reference monitor (ACL x lattice at
+      descriptor construction, SDW checks at reference).
 
-   Because every call funnels through [dispatch]'s [call] wrapper, the
-   audit record and the observability counters (per-gate call/refusal
-   counts, mediation cycles, audit-trail depth) are written in exactly
-   one place.
+   The wrapper then writes exactly one audit record and one set of
+   observability counters (per-gate call/refusal counts, mediation
+   cycles, audit-trail depth), whatever the outcome.
 
    Content references ([read_word]/[write_word]) deliberately check
    the SDW installed at initiate time rather than re-deriving policy,
@@ -56,12 +58,8 @@ type error =
   | Site_fenced of { site : int }
   | Site_unreachable of { site : int }
 
-(* ----- Structured error rendering -----
-
-   [pp] is the canonical human rendering ([error_to_string] is just
-   [Fmt.str "%a" pp]); [error_to_json] gives refusal causes a
-   machine-readable shape: {"kind": ..., plus cause-specific fields}. *)
-
+(* The canonical human rendering; [error_to_string] is just
+   [Fmt.str "%a" pp]. *)
 let pp ppf = function
   | Fs e -> Fmt.pf ppf "fs: %s" (Hierarchy.error_to_string e)
   | Kst_error e -> Fmt.pf ppf "kst: %s" (Kst.error_to_string e)
@@ -88,49 +86,6 @@ let pp ppf = function
       Fmt.pf ppf "site %d is unreachable (connects unacknowledged past the retry budget)" site
 
 let error_to_string e = Fmt.str "%a" pp e
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_fields fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields) ^ "}"
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let error_to_json e =
-  let kind k rest = json_fields (("kind", json_str k) :: rest) in
-  match e with
-  | Fs fs -> kind "fs" [ ("detail", json_str (Hierarchy.error_to_string fs)) ]
-  | Kst_error k -> kind "kst" [ ("detail", json_str (Kst.error_to_string k)) ]
-  | Rnt_error r -> kind "rnt" [ ("detail", json_str (Rnt.error_to_string r)) ]
-  | Gate_absent gate -> kind "gate-absent" [ ("gate", json_str gate) ]
-  | Gate_ring_denied { gate; ring } ->
-      kind "gate-ring-denied" [ ("gate", json_str gate); ("ring", string_of_int ring) ]
-  | Hardware_denied d -> kind "hardware-denied" [ ("detail", json_str (Hardware.denial_to_string d)) ]
-  | Link_failed outcome -> kind "link-failed" [ ("detail", json_str (Linker.outcome_to_string outcome)) ]
-  | No_such_process handle -> kind "no-such-process" [ ("handle", string_of_int handle) ]
-  | No_such_channel id -> kind "no-such-channel" [ ("channel", string_of_int id) ]
-  | Device_not_attached device -> kind "device-not-attached" [ ("device", json_str device) ]
-  | Not_in_subsystem -> kind "not-in-subsystem" []
-  | Not_authorized what -> kind "not-authorized" [ ("detail", json_str what) ]
-  | Fault_injected { site; operation } ->
-      kind "fault-injected" [ ("site", json_str site); ("operation", json_str operation) ]
-  | Bad_fault_plan detail -> kind "bad-fault-plan" [ ("detail", json_str detail) ]
-  | No_scheduler -> kind "no-scheduler" []
-  | Bad_tune detail -> kind "bad-tune" [ ("detail", json_str detail) ]
-  | No_smp_plant -> kind "no-smp-plant" []
-  | Site_fenced { site } -> kind "site-fenced" [ ("site", string_of_int site) ]
-  | Site_unreachable { site } -> kind "site-unreachable" [ ("site", string_of_int site) ]
 
 let ( let* ) r f = Result.bind r f
 
@@ -169,59 +124,93 @@ let obs_gate_cycles = Obs.Local.counter "gate.cycles"
 let obs_audit_depth = Obs.Local.counter "audit.depth"
 let obs_dispatch_span = Obs.Local.span "gate.dispatch"
 
-(* An operation a call is mediated under: its name, its dense gate id
-   (none for hardware gate calls and operator actions, which are not
-   supervisor entries) and its [gate.<name>.*] counter handles.  Every
-   name dispatch can mediate under is interned here at module
-   initialisation, so a call resolves its operation with one hash and
-   its counters with no string building and no registry lookup. *)
-module Names = Hashtbl.Make (String)
+(* An operation a call is mediated under: its name, whether it is a
+   supervisor gate (checked against the catalog, the mask and the ring
+   bracket; its dense id is [None] for a name no catalog has) or a
+   hardware gate call / operator action (the body alone decides), and
+   its [gate.<name>.*] counter handles. *)
+type kind = Supervisor of Gate.id option | Hardware
 
 type op = {
   op_name : string;
-  op_gate : Gate.id option;
+  op_kind : kind;
   op_calls : Obs.Counter.t Obs.Local.handle;
   op_refusals : Obs.Counter.t Obs.Local.handle;
 }
 
-let make_op name =
-  {
-    op_name = name;
-    op_gate = Gate.id name;
-    op_calls = Obs.Local.counter ("gate." ^ name ^ ".calls");
-    op_refusals = Obs.Local.counter ("gate." ^ name ^ ".refusals");
-  }
+(* Every operation dispatch can mediate under, made once at module
+   initialisation: a call resolves its operation and its counters with
+   no string building and no registry lookup. *)
+module Op = struct
+  let make op_kind name =
+    {
+      op_name = name;
+      op_kind;
+      op_calls = Obs.Local.counter ("gate." ^ name ^ ".calls");
+      op_refusals = Obs.Local.counter ("gate." ^ name ^ ".refusals");
+    }
 
-(* Process management is a set of supervisor gates under privileged
-   login and of subsystem entries under unified login. *)
-let login_gates =
-  [
-    "create_process"; "destroy_process"; "new_proc"; "proc_info"; "list_processes";
-    "operator_message";
-  ]
+  let gate name = make (Supervisor (Gate.id name)) name
+  let action name = make Hardware name
 
-let ops =
-  let ops = Names.create 128 in
-  List.iter
-    (fun name -> Names.replace ops name (make_op name))
-    (List.map Gate.name Gate.all
-    @ [
-        "subsystem_entry"; "subsystem_exit"; "fault_control"; "fault_status"; "fault_clear";
-        "salvage"; "probe_access"; "cache_status"; "cache_clear"; "sched_status"; "sched_tune";
-        "smp_status";
-      ]
-    @ List.map (fun gate -> "subsystem_entry:" ^ gate) login_gates
-    @ List.concat_map
-        (fun device ->
-          List.map
-            (fun op -> Printf.sprintf "%s_%s" (Multics_io.Device.name device) op)
-            [ "attach"; "io"; "detach" ])
-        Multics_io.Device.all);
-  ops
+  let initiate = gate "initiate" and terminate = gate "terminate"
+  and create_segment = gate "create_segment" and create_directory = gate "create_directory"
+  and delete_entry = gate "delete_entry" and rename_entry = gate "rename_entry"
+  and list_directory = gate "list_directory" and status_entry = gate "status_entry"
+  and set_acl = gate "set_acl" and set_brackets = gate "set_brackets"
+  and set_gate_bound = gate "set_gate_bound" and set_quota = gate "set_quota"
+  and read_word = gate "read_word" and write_word = gate "write_word"
 
-(* The table above lists every name dispatch produces; a name outside
-   it would still be mediated and metered, through fresh handles. *)
-let op_of name = match Names.find ops name with op -> op | exception Not_found -> make_op name
+  let initiate_by_path = gate "initiate_by_path"
+  and create_segment_by_path = gate "create_segment_by_path"
+  and create_directory_by_path = gate "create_directory_by_path"
+  and delete_by_path = gate "delete_by_path" and resolve_path = gate "resolve_path"
+  and terminate_by_path = gate "terminate_by_path" and rnt_bind = gate "rnt_bind"
+  and rnt_lookup = gate "rnt_lookup" and rnt_unbind = gate "rnt_unbind"
+  and list_reference_names = gate "list_reference_names"
+  and get_working_dir = gate "get_working_dir" and set_working_dir = gate "set_working_dir"
+  and initiate_count = gate "initiate_count"
+
+  let snap_link = gate "snap_link" and list_links = gate "list_links"
+  and set_search_rules = gate "set_search_rules" and get_search_rules = gate "get_search_rules"
+  and create_channel = gate "create_channel" and send_wakeup = gate "send_wakeup"
+  and block = gate "block"
+
+  let subsystem_entry = action "subsystem_entry" and subsystem_exit = action "subsystem_exit"
+  and fault_control = action "fault_control" and fault_status = action "fault_status"
+  and fault_clear = action "fault_clear" and salvage = action "salvage"
+  and probe_access = action "probe_access" and cache_status = action "cache_status"
+  and cache_clear = action "cache_clear" and sched_status = action "sched_status"
+  and sched_tune = action "sched_tune" and smp_status = action "smp_status"
+
+  (* Which gates serve a device depends on the configuration: per-device
+     drivers each have their own; under network-only I/O every external
+     device reaches the system through the network attachment. *)
+  type io = { attach : op; io : op; detach : op }
+
+  let io_gates prefix =
+    { attach = gate (prefix ^ "_attach"); io = gate (prefix ^ "_io"); detach = gate (prefix ^ "_detach") }
+
+  let drivers = List.map (fun d -> (d, io_gates (Multics_io.Device.name d))) Multics_io.Device.all
+  let network = io_gates "net"
+
+  let io system device =
+    match (System.config system).Config.io with
+    | Config.Device_drivers -> List.assq device drivers
+    | Config.Network_only -> network
+
+  (* Process management is a set of supervisor gates under privileged
+     login and of subsystem entries under unified login. *)
+  let login name =
+    let supervisor = gate name and unified = action ("subsystem_entry:" ^ name) in
+    fun system ->
+      if Option.is_some (Gate.find (System.config system) ~gate_name:name) then supervisor
+      else unified
+
+  let create_process = login "create_process" and destroy_process = login "destroy_process"
+  and new_proc = login "new_proc" and proc_info = login "proc_info"
+  and list_processes = login "list_processes" and operator_message = login "operator_message"
+end
 
 (* One record per mediated call, written after the audit record so the
    audit-depth gauge includes it.  Mediation cycles are charged at the
@@ -245,71 +234,66 @@ let meter system op ~refused =
     Obs.Counter.set (obs_audit_depth ()) (Audit_log.length (System.audit system))
   end
 
-(* The audit record of a call: the error itself is stored, and rendered
-   only when the trail is read. *)
-let audit system op ?at ?target ~subject result =
-  Audit_log.log ?at ?target (System.audit system) ~subject ~operation:op.op_name
+(* The end of every call: one audit record (the error itself is
+   stored, and rendered only when the trail is read), then one meter
+   tick. *)
+let settle system op at ~subject result =
+  Audit_log.log ~at (System.audit system) ~subject ~operation:op.op_name
     ~verdict:
       (match result with
       | Ok _ -> Audit_log.Granted
-      | Error e -> Audit_log.Refused_by (error_to_string, e))
+      | Error e -> Audit_log.Refused_by (error_to_string, e));
+  meter system op ~refused:(Result.is_error result);
+  result
+
+(* The subject a call from an unknown process handle is audited under:
+   unauthenticated, at the outermost ring — as [System.login] records a
+   failed attempt. *)
+let anonymous =
+  Policy.subject
+    ~principal:(Principal.interactive ~person:"anonymous" ~project:"anonymous")
+    ~clearance:Label.unclassified ~ring:Ring.outermost ()
 
 (* ----- The gate discipline ----- *)
 
-let gate_check system (p : System.proc) op =
-  match op.op_gate with
-  | None -> Error (Gate_absent op.op_name)
-  | Some id -> (
+(* A supervisor gate must be present in the configuration and admitted
+   by the specialisation mask (a stripped entry refuses exactly like a
+   removed mechanism's — [Gate_absent], no kernel state touched), and
+   the caller's ring must be within its call bracket.  A by-path
+   attribute edit additionally needs naming in the kernel.
+
+   Fault injection hooks in on the refusing side only: an injected
+   [Gate_deny] turns the call away before the body runs, and the
+   mutating bodies consult [Gate_abort] after their hierarchy update
+   (see [abort_after_mutation]).  Neither can widen what the reference
+   monitor granted.  Hardware gate calls and operator actions are not
+   supervisor entries: only their body decides. *)
+let admit system (p : System.proc) ~by_path op =
+  let absent () = Error (Gate_absent op.op_name) in
+  match op.op_kind with
+  | Hardware -> Ok ()
+  | Supervisor _ when by_path && (System.config system).Config.naming = Rnt.In_user_ring ->
+      Error (Gate_absent (op.op_name ^ "_by_path"))
+  | Supervisor None -> absent ()
+  | Supervisor (Some id) -> (
       match Gate.lookup (Gate.table (System.config system)) id with
-      | None -> Error (Gate_absent op.op_name)
-      | Some entry ->
-          (* A specialised kernel simply does not have its stripped
-             gates: the mask check sits here, before the ring check and
-             before any body runs, so a stripped entry refuses exactly
-             like a removed mechanism's — [Gate_absent], audited, no
-             kernel state touched. *)
-          if not (System.gate_admitted_id system id) then Error (Gate_absent op.op_name)
-          else if Ring.to_int p.System.ring <= Ring.to_int entry.Gate.call_top then Ok ()
-          else Error (Gate_ring_denied { gate = op.op_name; ring = Ring.to_int p.System.ring }))
+      | None -> absent ()
+      | Some _ when not (System.gate_admitted_id system id) -> absent ()
+      | Some entry when Ring.to_int p.System.ring > Ring.to_int entry.Gate.call_top ->
+          Error (Gate_ring_denied { gate = op.op_name; ring = Ring.to_int p.System.ring })
+      | Some _ ->
+          if System.fault_fires system Multics_fault.Fault.Gate_deny then
+            Error (Fault_injected { site = "gate.deny"; operation = op.op_name })
+          else Ok ())
 
-(* Wrap one gate call: locate the process, enforce the gate
-   discipline, run the body, and write the audit and observability
-   records.
-
-   Fault injection hooks into this choke point on the refusing side
-   only: an injected [Gate_deny] turns the call away before the body
-   runs (a clean refusal, audited like any other), and the mutating
-   dispatch arms consult [Gate_abort] after their hierarchy update
-   (a mid-dispatch crash, leaving partial state for the salvager).
-   Neither path can widen what the reference monitor granted. *)
-let call system ~handle ~gate ?at ?target body =
-  let op = op_of gate in
-  match System.proc system handle with
-  | None ->
-      meter system op ~refused:true;
-      Error (No_such_process handle)
-  | Some p ->
-      let subject = System.subject_of p in
-      let result =
-        match gate_check system p op with
-        | Error e -> Error e
-        | Ok () ->
-            if System.fault_fires system Multics_fault.Fault.Gate_deny then
-              Error (Fault_injected { site = "gate.deny"; operation = gate })
-            else body p subject
-      in
-      audit system op ?at ?target ~subject result;
-      meter system op ~refused:(Result.is_error result);
-      result
-
-(* Consulted by the mutating dispatch arms right after their hierarchy
-   update succeeded: an injected abort records what the kernel knew in
-   the crash journal and fails the call — the caller never learns the
+(* Consulted by the mutating bodies right after their hierarchy update
+   succeeded: an injected abort records what the kernel knew in the
+   crash journal and fails the call — the caller never learns the
    object exists, and the salvager later rolls the orphan back. *)
-let abort_after_mutation system ~handle ~operation ?dir ?entry_name () =
+let abort_after_mutation system (p : System.proc) op ~dir ~entry_name =
   if System.fault_fires system Multics_fault.Fault.Gate_abort then begin
-    System.journal_crash system ~handle ~operation ?dir ?entry_name ();
-    Error (Fault_injected { site = "gate.abort"; operation })
+    System.journal_crash system ~handle:p.System.handle ~operation:op.op_name ~dir ~entry_name ();
+    Error (Fault_injected { site = "gate.abort"; operation = op.op_name })
   end
   else Ok ()
 
@@ -342,33 +326,6 @@ let device_transient_guard system ~device ~operation =
 
 let uid_of_segno (p : System.proc) segno = kst_result (Kst.uid_of_segno p.System.kst segno)
 
-(* Hardware gate calls (subsystem entry/exit): not supervisor entries,
-   but still audited and metered. *)
-let call_hardware system ~handle ~operation ?at ?target body =
-  let op = op_of operation in
-  match System.proc system handle with
-  | None ->
-      meter system op ~refused:true;
-      Error (No_such_process handle)
-  | Some p ->
-      let subject = System.subject_of p in
-      let result = body p in
-      audit system op ?at ?target ~subject result;
-      meter system op ~refused:(Result.is_error result);
-      result
-
-(* Process-management operations are supervisor gates under the
-   privileged-login configuration, ordinary subsystem entries under the
-   unified configuration; the facade dispatches on gate presence. *)
-let login_gate_or_unified system ~handle ~gate ~target body =
-  match Gate.find (System.config system) ~gate_name:gate with
-  | Some _ -> call system ~handle ~gate ~target body
-  | None ->
-      call_hardware system ~handle
-        ~operation:("subsystem_entry:" ^ gate)
-        ~target
-        (fun p -> body p (System.subject_of p))
-
 (* ----- Shared helpers for gate bodies ----- *)
 
 (* Every content reference goes through the process's associative
@@ -395,9 +352,10 @@ let check_sdw system (p : System.proc) ~segno ~operation =
   | Some (Hardware.Denied denial) -> Error (Hardware_denied denial)
 
 let parent_path path =
+  let n = String.length path in
   match String.rindex_opt path '>' with
-  | None | Some 0 -> (">", String.sub path 1 (max 0 (String.length path - 1)))
-  | Some i -> (String.sub path 0 i, String.sub path (i + 1) (String.length path - i - 1))
+  | None | Some 0 -> (">", if n = 0 then "" else String.sub path 1 (n - 1))
+  | Some i -> (String.sub path 0 i, String.sub path (i + 1) (n - i - 1))
 
 (* The historical escalation: when the flawed ring-0 linker snaps a
    link it found with supervisor authority, it also installs a
@@ -408,14 +366,6 @@ let install_after_flawed_snap (p : System.proc) ~target =
   let sdw = Sdw.make ~mode:Mode.rew ~brackets:Multics_machine.Brackets.user_data () in
   ignore (Kst.set_sdw p.System.kst segno sdw);
   segno
-
-(* Which gate serves a device depends on the configuration: per-device
-   drivers each have their own gates; under network-only I/O every
-   external device reaches the system through the network attachment. *)
-let io_gate_for system device op =
-  match (System.config system).Config.io with
-  | Config.Device_drivers -> Printf.sprintf "%s_%s" (Multics_io.Device.name device) op
-  | Config.Network_only -> "net_" ^ op
 
 let buffer_for_config system () =
   match (System.config system).Config.buffer with
@@ -537,117 +487,65 @@ module Call = struct
 
   type response = (reply, error) result
 
-  (* The operation name a request is mediated (and metered) under —
-     configuration-dependent for device I/O and process management. *)
-  let operation_name system = function
-    | Initiate _ -> "initiate"
-    | Terminate _ -> "terminate"
-    | Create_segment _ -> "create_segment"
-    | Create_directory _ -> "create_directory"
-    | Delete_entry _ -> "delete_entry"
-    | Rename_entry _ -> "rename_entry"
-    | List_directory _ -> "list_directory"
-    | Status_entry _ -> "status_entry"
-    | Set_acl _ -> "set_acl"
-    | Set_brackets _ -> "set_brackets"
-    | Set_gate_bound _ -> "set_gate_bound"
-    | Set_quota _ -> "set_quota"
-    | Read_word _ -> "read_word"
-    | Write_word _ -> "write_word"
-    | Initiate_by_path _ -> "initiate_by_path"
-    | Create_segment_by_path _ -> "create_segment_by_path"
-    | Create_directory_by_path _ -> "create_directory_by_path"
-    | Delete_by_path _ -> "delete_by_path"
-    | Set_acl_by_path _ -> "set_acl"
-    | Set_brackets_by_path _ -> "set_brackets"
-    | Resolve_path _ -> "resolve_path"
-    | Terminate_by_path _ -> "terminate_by_path"
-    | Rnt_bind _ -> "rnt_bind"
-    | Rnt_lookup _ -> "rnt_lookup"
-    | Rnt_unbind _ -> "rnt_unbind"
-    | List_reference_names _ -> "list_reference_names"
-    | Get_working_dir -> "get_working_dir"
-    | Set_working_dir _ -> "set_working_dir"
-    | Initiate_count -> "initiate_count"
-    | Snap_link _ -> "snap_link"
-    | List_links _ -> "list_links"
-    | Set_search_rules _ -> "set_search_rules"
-    | Get_search_rules -> "get_search_rules"
-    | Enter_subsystem _ -> "subsystem_entry"
-    | Exit_subsystem -> "subsystem_exit"
-    | Create_channel -> "create_channel"
-    | Send_wakeup _ -> "send_wakeup"
-    | Block _ -> "block"
-    | Attach_device { device } -> io_gate_for system device "attach"
-    | Detach_device { device } -> io_gate_for system device "detach"
-    | Device_write { device; _ } -> io_gate_for system device "io"
-    | Device_read { device } -> io_gate_for system device "io"
-    | Create_process -> "create_process"
-    | Destroy_process _ -> "destroy_process"
-    | New_proc -> "new_proc"
-    | Proc_info -> "proc_info"
-    | List_processes -> "list_processes"
-    | Operator_message _ -> "operator_message"
-    | Set_fault_plan _ -> "fault_control"
-    | Fault_status -> "fault_status"
-    | Clear_faults -> "fault_clear"
-    | Salvage -> "salvage"
-    | Probe_access _ -> "probe_access"
-    | Cache_status -> "cache_status"
-    | Cache_clear -> "cache_clear"
-    | Sched_status -> "sched_status"
-    | Sched_tune _ -> "sched_tune"
-    | Smp_status -> "smp_status"
+  (* What a request runs as: the operation it is mediated, audited and
+     metered under, the audit target, whether it is a by-path attribute
+     edit (which needs naming in the kernel), and the body. *)
+  type route = {
+    op : op;
+    at : Audit_log.target;
+    by_path : bool;
+    body : System.proc -> Policy.subject -> response;
+  }
 
-  let dispatch system ~handle (request : request) : response =
-    match request with
+  let on ?(by_path = false) op at body = { op; at; by_path; body }
+  let named name = Audit_log.Name name
+
+  (* THE per-request match: the only place a request is mapped to its
+     operation. *)
+  let route system : request -> route = function
     (* ----- Directory control ----- *)
     | Initiate { dir_segno; name } ->
-        call system ~handle ~gate:"initiate" ~target:name (fun p subject ->
+        on Op.initiate (named name) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* uid =
               fs_result (Hierarchy.lookup (System.hierarchy system) ~subject ~dir ~name)
             in
             Ok (Segno (System.install_known system p ~uid)))
     | Terminate { segno } ->
-        call system ~handle ~gate:"terminate" ~at:(Audit_log.Segno segno) (fun p _subject ->
+        on Op.terminate (Audit_log.Segno segno) (fun p _subject ->
             let* () = kst_result (Kst.terminate p.System.kst segno) in
             Ok Done)
     | Create_segment { dir_segno; name; acl; label; brackets } ->
-        call system ~handle ~gate:"create_segment" ~target:name (fun p subject ->
+        let op = Op.create_segment in
+        on op (named name) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* uid =
               fs_result
                 (Hierarchy.create_segment ?brackets (System.hierarchy system) ~subject ~dir
                    ~name ~acl ~label)
             in
-            let* () =
-              abort_after_mutation system ~handle ~operation:"create_segment" ~dir
-                ~entry_name:name ()
-            in
+            let* () = abort_after_mutation system p op ~dir ~entry_name:name in
             Ok (Segno (System.install_known system p ~uid)))
     | Create_directory { dir_segno; name; acl; label } ->
-        call system ~handle ~gate:"create_directory" ~target:name (fun p subject ->
+        let op = Op.create_directory in
+        on op (named name) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* uid =
               fs_result
                 (Hierarchy.create_directory (System.hierarchy system) ~subject ~dir ~name ~acl
                    ~label)
             in
-            let* () =
-              abort_after_mutation system ~handle ~operation:"create_directory" ~dir
-                ~entry_name:name ()
-            in
+            let* () = abort_after_mutation system p op ~dir ~entry_name:name in
             Ok (Segno (System.install_known system p ~uid)))
     | Delete_entry { dir_segno; name } ->
-        call system ~handle ~gate:"delete_entry" ~target:name (fun p subject ->
+        on Op.delete_entry (named name) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* _uid =
               fs_result (Hierarchy.delete_entry (System.hierarchy system) ~subject ~dir ~name)
             in
             Ok Done)
     | Rename_entry { dir_segno; name; new_name } ->
-        call system ~handle ~gate:"rename_entry" ~target:name (fun p subject ->
+        on Op.rename_entry (named name) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* _uid =
               fs_result
@@ -655,15 +553,14 @@ module Call = struct
             in
             Ok Done)
     | List_directory { dir_segno } ->
-        call system ~handle ~gate:"list_directory" ~at:(Audit_log.Segno dir_segno)
-          (fun p subject ->
+        on Op.list_directory (Audit_log.Segno dir_segno) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* entries =
               fs_result (Hierarchy.list_entries (System.hierarchy system) ~subject ~dir)
             in
             Ok (Names (List.map (fun (name, _uid) -> name) entries)))
     | Status_entry { dir_segno; name } ->
-        call system ~handle ~gate:"status_entry" ~target:name (fun p subject ->
+        on Op.status_entry (named name) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let hierarchy = System.hierarchy system in
             let* uid = fs_result (Hierarchy.lookup hierarchy ~subject ~dir ~name) in
@@ -683,13 +580,13 @@ module Call = struct
        descriptor for the object is recomputed, so a revoked grant
        cannot survive in any process's SDW. *)
     | Set_acl { segno; acl } ->
-        call system ~handle ~gate:"set_acl" ~at:(Audit_log.Segno segno) (fun p subject ->
+        on Op.set_acl (Audit_log.Segno segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_acl (System.hierarchy system) ~subject ~uid ~acl) in
             System.setfaults system ~uid;
             Ok Done)
     | Set_brackets { segno; brackets } ->
-        call system ~handle ~gate:"set_brackets" ~at:(Audit_log.Segno segno) (fun p subject ->
+        on Op.set_brackets (Audit_log.Segno segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
               fs_result (Hierarchy.set_brackets (System.hierarchy system) ~subject ~uid ~brackets)
@@ -697,8 +594,7 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_gate_bound { segno; gate_bound } ->
-        call system ~handle ~gate:"set_gate_bound" ~at:(Audit_log.Segno segno)
-          (fun p subject ->
+        on Op.set_gate_bound (Audit_log.Segno segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
               fs_result
@@ -707,23 +603,19 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_quota { segno; quota } ->
-        call system ~handle ~gate:"set_quota" ~at:(Audit_log.Segno segno) (fun p subject ->
+        on Op.set_quota (Audit_log.Segno segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_quota (System.hierarchy system) ~subject ~uid ~quota) in
             Ok Done)
     (* ----- Content references (SDW-checked, as the hardware does) ----- *)
     | Read_word { segno; offset } ->
-        call system ~handle ~gate:"read_word"
-          ~at:(Audit_log.Offset (segno, offset))
-          (fun p _subject ->
+        on Op.read_word (Audit_log.Offset (segno, offset)) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Read in
             let* uid = uid_of_segno p segno in
             let* value = fs_result (Hierarchy.raw_read_word (System.hierarchy system) ~uid ~offset) in
             Ok (Word value))
     | Write_word { segno; offset; value } ->
-        call system ~handle ~gate:"write_word"
-          ~at:(Audit_log.Offset (segno, offset))
-          (fun p _subject ->
+        on Op.write_word (Audit_log.Offset (segno, offset)) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Write in
             let* uid = uid_of_segno p segno in
             (* Segment control charges the quota cell for any growth
@@ -735,41 +627,37 @@ module Call = struct
             Ok Done)
     (* ----- Naming gates (present only while naming is in the kernel) ----- *)
     | Initiate_by_path { path } ->
-        call system ~handle ~gate:"initiate_by_path" ~target:path (fun p subject ->
+        on Op.initiate_by_path (named path) (fun p subject ->
             let* uid = fs_result (Hierarchy.resolve (System.hierarchy system) ~subject ~path) in
             let segno = System.install_known system p ~uid in
             let* () = kst_result (Kst.record_pathname p.System.kst segno path) in
             Ok (Segno segno))
     | Create_segment_by_path { path; acl; label; brackets } ->
-        call system ~handle ~gate:"create_segment_by_path" ~target:path (fun p subject ->
+        let op = Op.create_segment_by_path in
+        on op (named path) (fun p subject ->
             let dir_path, name = parent_path path in
             let hierarchy = System.hierarchy system in
             let* dir = fs_result (Hierarchy.resolve hierarchy ~subject ~path:dir_path) in
             let* uid =
               fs_result (Hierarchy.create_segment ?brackets hierarchy ~subject ~dir ~name ~acl ~label)
             in
-            let* () =
-              abort_after_mutation system ~handle ~operation:"create_segment_by_path" ~dir
-                ~entry_name:name ()
-            in
+            let* () = abort_after_mutation system p op ~dir ~entry_name:name in
             let segno = System.install_known system p ~uid in
             let* () = kst_result (Kst.record_pathname p.System.kst segno path) in
             Ok (Segno segno))
     | Create_directory_by_path { path; acl; label } ->
-        call system ~handle ~gate:"create_directory_by_path" ~target:path (fun p subject ->
+        let op = Op.create_directory_by_path in
+        on op (named path) (fun p subject ->
             let dir_path, name = parent_path path in
             let hierarchy = System.hierarchy system in
             let* dir = fs_result (Hierarchy.resolve hierarchy ~subject ~path:dir_path) in
             let* uid =
               fs_result (Hierarchy.create_directory hierarchy ~subject ~dir ~name ~acl ~label)
             in
-            let* () =
-              abort_after_mutation system ~handle ~operation:"create_directory_by_path" ~dir
-                ~entry_name:name ()
-            in
+            let* () = abort_after_mutation system p op ~dir ~entry_name:name in
             Ok (Segno (System.install_known system p ~uid)))
     | Delete_by_path { path } ->
-        call system ~handle ~gate:"delete_by_path" ~target:path (fun _p subject ->
+        on Op.delete_by_path (named path) (fun _p subject ->
             let dir_path, name = parent_path path in
             let hierarchy = System.hierarchy system in
             let* dir = fs_result (Hierarchy.resolve hierarchy ~subject ~path:dir_path) in
@@ -780,36 +668,31 @@ module Call = struct
        reached by tree name instead of a process-local segment number.
        The kernel resolves the name itself, so — like every other
        by-path entry — these exist only while naming lives in the
-       kernel; post-removal callers compose resolution in the user
+       kernel ([admit] refuses them with [Gate_absent "<x>_by_path"]
+       otherwise); post-removal callers compose resolution in the user
        ring (User_env, or a distribution layer such as Site) and call
        the segment-number gate.  Both forms finish with the same
        "setfaults" revocation step. *)
-    | Set_acl_by_path { path; acl } -> (
-        match (System.config system).Config.naming with
-        | Multics_link.Rnt.In_user_ring -> Error (Gate_absent "set_acl_by_path")
-        | Multics_link.Rnt.In_kernel ->
-            call system ~handle ~gate:"set_acl" ~target:path (fun _p subject ->
-                let hierarchy = System.hierarchy system in
-                let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
-                let* () = fs_result (Hierarchy.set_acl hierarchy ~subject ~uid ~acl) in
-                System.setfaults system ~uid;
-                Ok Done))
-    | Set_brackets_by_path { path; brackets } -> (
-        match (System.config system).Config.naming with
-        | Multics_link.Rnt.In_user_ring -> Error (Gate_absent "set_brackets_by_path")
-        | Multics_link.Rnt.In_kernel ->
-            call system ~handle ~gate:"set_brackets" ~target:path (fun _p subject ->
-                let hierarchy = System.hierarchy system in
-                let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
-                let* () = fs_result (Hierarchy.set_brackets hierarchy ~subject ~uid ~brackets) in
-                System.setfaults system ~uid;
-                Ok Done))
+    | Set_acl_by_path { path; acl } ->
+        on ~by_path:true Op.set_acl (named path) (fun _p subject ->
+            let hierarchy = System.hierarchy system in
+            let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
+            let* () = fs_result (Hierarchy.set_acl hierarchy ~subject ~uid ~acl) in
+            System.setfaults system ~uid;
+            Ok Done)
+    | Set_brackets_by_path { path; brackets } ->
+        on ~by_path:true Op.set_brackets (named path) (fun _p subject ->
+            let hierarchy = System.hierarchy system in
+            let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
+            let* () = fs_result (Hierarchy.set_brackets hierarchy ~subject ~uid ~brackets) in
+            System.setfaults system ~uid;
+            Ok Done)
     | Resolve_path { path } ->
-        call system ~handle ~gate:"resolve_path" ~target:path (fun p subject ->
+        on Op.resolve_path (named path) (fun p subject ->
             let* uid = fs_result (Hierarchy.resolve (System.hierarchy system) ~subject ~path) in
             Ok (Segno (System.install_known system p ~uid)))
     | Terminate_by_path { path } ->
-        call system ~handle ~gate:"terminate_by_path" ~target:path (fun p subject ->
+        on Op.terminate_by_path (named path) (fun p subject ->
             let* uid = fs_result (Hierarchy.resolve (System.hierarchy system) ~subject ~path) in
             match Kst.segno_of_uid p.System.kst ~uid with
             | Some segno ->
@@ -817,37 +700,34 @@ module Call = struct
                 Ok Done
             | None -> Error (Kst_error (Kst.Unknown_segno 0)))
     | Rnt_bind { name; segno } ->
-        call system ~handle ~gate:"rnt_bind" ~target:name (fun p _subject ->
+        on Op.rnt_bind (named name) (fun p _subject ->
             let* () = rnt_result (Rnt.bind p.System.rnt ~name ~segno) in
             Ok Done)
     | Rnt_lookup { name } ->
-        call system ~handle ~gate:"rnt_lookup" ~target:name (fun p _subject ->
+        on Op.rnt_lookup (named name) (fun p _subject ->
             let* segno = rnt_result (Rnt.lookup p.System.rnt ~name) in
             Ok (Segno segno))
     | Rnt_unbind { name } ->
-        call system ~handle ~gate:"rnt_unbind" ~target:name (fun p _subject ->
+        on Op.rnt_unbind (named name) (fun p _subject ->
             let* () = rnt_result (Rnt.unbind p.System.rnt ~name) in
             Ok Done)
     | List_reference_names { segno } ->
-        call system ~handle ~gate:"list_reference_names" ~at:(Audit_log.Segno segno)
-          (fun p _subject -> Ok (Names (Rnt.names_for_segno p.System.rnt ~segno)))
+        on Op.list_reference_names (Audit_log.Segno segno) (fun p _subject ->
+            Ok (Names (Rnt.names_for_segno p.System.rnt ~segno)))
     | Get_working_dir ->
-        call system ~handle ~gate:"get_working_dir" ~target:"wd" (fun p _subject ->
+        on Op.get_working_dir (named "wd") (fun p _subject ->
             Ok (Segno (System.install_known system p ~uid:p.System.working_dir)))
     | Set_working_dir { dir_segno } ->
-        call system ~handle ~gate:"set_working_dir" ~at:(Audit_log.Segno dir_segno)
-          (fun p _subject ->
+        on Op.set_working_dir (Audit_log.Segno dir_segno) (fun p _subject ->
             let* uid = uid_of_segno p dir_segno in
             p.System.working_dir <- uid;
             Ok Done)
     | Initiate_count ->
-        call system ~handle ~gate:"initiate_count" ~target:"kst" (fun p _subject ->
+        on Op.initiate_count (named "kst") (fun p _subject ->
             Ok (Word (Kst.entry_count p.System.kst)))
     (* ----- Linker gates (present only while the linker is in the kernel) ----- *)
     | Snap_link { segno; link_index } ->
-        call system ~handle ~gate:"snap_link"
-          ~at:(Audit_log.Link (segno, link_index))
-          (fun p subject ->
+        on Op.snap_link (Audit_log.Link (segno, link_index)) (fun p subject ->
             let* from_uid = uid_of_segno p segno in
             let linker = System.linker system in
             match
@@ -862,7 +742,7 @@ module Call = struct
                 Ok (Snapped { segno = target_segno; offset })
             | other -> Error (Link_failed other))
     | List_links { segno } ->
-        call system ~handle ~gate:"list_links" ~at:(Audit_log.Segno segno) (fun p _subject ->
+        on Op.list_links (Audit_log.Segno segno) (fun p _subject ->
             let* uid = uid_of_segno p segno in
             match Object_seg.Store.get (System.store system) ~uid with
             | None -> Ok (Links [])
@@ -884,7 +764,7 @@ module Call = struct
                                 link_snapped = false;
                               }))))
     | Set_search_rules { dir_segnos } ->
-        call system ~handle ~gate:"set_search_rules" ~target:"rules" (fun p _subject ->
+        on Op.set_search_rules (named "rules") (fun p _subject ->
             let rec collect acc = function
               | [] -> Ok (List.rev acc)
               | segno :: rest ->
@@ -895,7 +775,7 @@ module Call = struct
             p.System.rules <- Search_rules.of_dirs dirs;
             Ok Done)
     | Get_search_rules ->
-        call system ~handle ~gate:"get_search_rules" ~target:"rules" (fun p _subject ->
+        on Op.get_search_rules (named "rules") (fun p _subject ->
             Ok (Names (Search_rules.rule_names p.System.rules)))
     (* ----- Protected subsystem entry -----
 
@@ -905,7 +785,7 @@ module Call = struct
        legal.  (Under the unified-login configuration the same
        mechanism also performs login.)  The call is still audited. *)
     | Enter_subsystem { segno; entry_offset; name } ->
-        call_hardware system ~handle ~operation:"subsystem_entry" ~target:name (fun p ->
+        on Op.subsystem_entry (named name) (fun p _subject ->
             let* grant = check_sdw system p ~segno ~operation:(Hardware.Call entry_offset) in
             match grant with
             | Hardware.Gate_entry target_ring ->
@@ -916,7 +796,7 @@ module Call = struct
                 (* Same-ring call: no protection boundary crossed. *)
                 Ok (Entered p.System.ring))
     | Exit_subsystem ->
-        call_hardware system ~handle ~operation:"subsystem_exit" ~target:"(return)" (fun p ->
+        on Op.subsystem_exit (named "(return)") (fun p _subject ->
             match p.System.subsystem_stack with
             | [] -> Error Not_in_subsystem
             | (_name, restore_ring) :: rest ->
@@ -925,18 +805,17 @@ module Call = struct
                 Ok (Entered restore_ring))
     (* ----- IPC gates ----- *)
     | Create_channel ->
-        call system ~handle ~gate:"create_channel" ~target:"channel" (fun _p _subject ->
+        on Op.create_channel (named "channel") (fun _p _subject ->
             Ok (Channel (System.new_ipc_channel system)))
     | Send_wakeup { channel } ->
-        call system ~handle ~gate:"send_wakeup" ~target:(string_of_int channel)
-          (fun _p _subject ->
+        on Op.send_wakeup (named (string_of_int channel)) (fun _p _subject ->
             match System.ipc_channel system channel with
             | None -> Error (No_such_channel channel)
             | Some pending ->
                 incr pending;
                 Ok Done)
     | Block { channel } ->
-        call system ~handle ~gate:"block" ~target:(string_of_int channel) (fun _p _subject ->
+        on Op.block (named (string_of_int channel)) (fun _p _subject ->
             match System.ipc_channel system channel with
             | None -> Error (No_such_channel channel)
             | Some pending ->
@@ -948,16 +827,14 @@ module Call = struct
     (* ----- External I/O gates ----- *)
     | Attach_device { device } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "attach") ~target:dev
-          (fun _p _subject ->
+        on (Op.io system device).attach (named dev) (fun _p _subject ->
             let buffers = System.io_buffers system in
             if not (Hashtbl.mem buffers dev) then
               Hashtbl.replace buffers dev (buffer_for_config system ());
             Ok Done)
     | Detach_device { device } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "detach") ~target:dev
-          (fun _p _subject ->
+        on (Op.io system device).detach (named dev) (fun _p _subject ->
             if Hashtbl.mem (System.io_buffers system) dev then begin
               Hashtbl.remove (System.io_buffers system) dev;
               Ok Done
@@ -965,8 +842,7 @@ module Call = struct
             else Error (Device_not_attached dev))
     | Device_write { device; message } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "io") ~target:dev
-          (fun _p _subject ->
+        on (Op.io system device).io (named dev) (fun _p _subject ->
             let* () = device_transient_guard system ~device ~operation:"device_write" in
             match Hashtbl.find_opt (System.io_buffers system) dev with
             | None -> Error (Device_not_attached dev)
@@ -978,8 +854,7 @@ module Call = struct
                 Ok Done)
     | Device_read { device } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "io") ~target:dev
-          (fun _p _subject ->
+        on (Op.io system device).io (named dev) (fun _p _subject ->
             let* () = device_transient_guard system ~device ~operation:"device_read" in
             match Hashtbl.find_opt (System.io_buffers system) dev with
             | None -> Error (Device_not_attached dev)
@@ -989,27 +864,25 @@ module Call = struct
                 Ok (Message (Multics_io.Infinite_buffer.read buffer)))
     (* ----- Process-management gates ----- *)
     | Create_process ->
-        login_gate_or_unified system ~handle ~gate:"create_process" ~target:"child"
-          (fun _p _subject ->
-            match System.clone_process system ~handle with
+        on (Op.create_process system) (named "child") (fun p _subject ->
+            match System.clone_process system ~handle:p.System.handle with
             | Some child -> Ok (Process child)
-            | None -> Error (No_such_process handle))
+            | None -> Error (No_such_process p.System.handle))
     | Destroy_process { target } ->
-        login_gate_or_unified system ~handle ~gate:"destroy_process"
-          ~target:(string_of_int target) (fun _p _subject ->
-            if List.mem target (System.sibling_handles system ~handle) then
+        on (Op.destroy_process system) (named (string_of_int target)) (fun p _subject ->
+            if List.mem target (System.sibling_handles system ~handle:p.System.handle) then
               if System.logout system ~handle:target then Ok Done
               else Error (No_such_process target)
             else Error (Not_authorized "destroy_process: not your process"))
     | New_proc ->
-        login_gate_or_unified system ~handle ~gate:"new_proc" ~target:"self" (fun _p _subject ->
-            match System.clone_process system ~handle with
+        on (Op.new_proc system) (named "self") (fun p _subject ->
+            match System.clone_process system ~handle:p.System.handle with
             | Some fresh ->
-                ignore (System.logout system ~handle);
+                ignore (System.logout system ~handle:p.System.handle);
                 Ok (Process fresh)
-            | None -> Error (No_such_process handle))
+            | None -> Error (No_such_process p.System.handle))
     | Proc_info ->
-        login_gate_or_unified system ~handle ~gate:"proc_info" ~target:"self" (fun p _subject ->
+        on (Op.proc_info system) (named "self") (fun p _subject ->
             Ok
               (Info
                  {
@@ -1020,11 +893,10 @@ module Call = struct
                    info_login_ring = Ring.to_int p.System.login_ring;
                  }))
     | List_processes ->
-        login_gate_or_unified system ~handle ~gate:"list_processes" ~target:"siblings"
-          (fun _p _subject -> Ok (Processes (System.sibling_handles system ~handle)))
+        on (Op.list_processes system) (named "siblings") (fun p _subject ->
+            Ok (Processes (System.sibling_handles system ~handle:p.System.handle)))
     | Operator_message { message } ->
-        login_gate_or_unified system ~handle ~gate:"operator_message" ~target:message
-          (fun _p _subject -> Ok Done)
+        on (Op.operator_message system) (named message) (fun _p _subject -> Ok Done)
     (* ----- Fault injection and salvage -----
 
        Operator actions, present in every configuration (like the
@@ -1033,7 +905,7 @@ module Call = struct
        can only remove state or re-derive descriptors — so neither
        needs a supervisor gate of its own to stay fail-secure. *)
     | Set_fault_plan { seed; spec } ->
-        call_hardware system ~handle ~operation:"fault_control" ~target:spec (fun _p ->
+        on Op.fault_control (named spec) (fun _p _subject ->
             match Multics_fault.Fault.Plan.parse ~seed spec with
             | Error detail -> Error (Bad_fault_plan detail)
             | Ok plan ->
@@ -1042,7 +914,7 @@ module Call = struct
                    else Some (Multics_fault.Fault.Injector.create plan));
                 Ok Done)
     | Fault_status ->
-        call_hardware system ~handle ~operation:"fault_status" ~target:"faults" (fun _p ->
+        on Op.fault_status (named "faults") (fun _p _subject ->
             match System.faults system with
             | None -> Ok (Fault_report { plan = "none"; counts = [] })
             | Some inj ->
@@ -1053,12 +925,11 @@ module Call = struct
                        counts = Multics_fault.Fault.Injector.counts inj;
                      }))
     | Clear_faults ->
-        call_hardware system ~handle ~operation:"fault_clear" ~target:"faults" (fun _p ->
+        on Op.fault_clear (named "faults") (fun _p _subject ->
             System.set_faults system None;
             Ok Done)
     | Salvage ->
-        call_hardware system ~handle ~operation:"salvage" ~target:"hierarchy" (fun _p ->
-            Ok (Salvaged (Salvager.run system)))
+        on Op.salvage (named "hierarchy") (fun _p _subject -> Ok (Salvaged (Salvager.run system)))
     (* ----- Cache inspection and control -----
 
        Operator surface, like fault control.  Probing runs the cached
@@ -1067,16 +938,15 @@ module Call = struct
        operator's revocation hammer — it can only make the next
        reference slower, never change a verdict. *)
     | Probe_access { segno; requested } ->
-        call_hardware system ~handle ~operation:"probe_access"
-          ~target:(Printf.sprintf "%d?%s" segno (Mode.to_string requested))
-          (fun p ->
+        on Op.probe_access
+          (named (Printf.sprintf "%d?%s" segno (Mode.to_string requested)))
+          (fun p subject ->
             let* uid = uid_of_segno p segno in
-            let subject = System.subject_of p in
             match Hierarchy.check_access (System.hierarchy system) ~subject ~uid ~requested with
             | Some verdict -> Ok (Probed verdict)
             | None -> Error (Fs (Hierarchy.No_entry (string_of_int segno))))
     | Cache_status ->
-        call_hardware system ~handle ~operation:"cache_status" ~target:"caches" (fun p ->
+        on Op.cache_status (named "caches") (fun p _subject ->
             Ok
               (Cache_report
                  {
@@ -1086,7 +956,7 @@ module Call = struct
                      :: Hardware.Assoc.counters p.System.assoc;
                  }))
     | Cache_clear ->
-        call_hardware system ~handle ~operation:"cache_clear" ~target:"caches" (fun _p ->
+        on Op.cache_clear (named "caches") (fun _p _subject ->
             System.invalidate_caches system;
             Ok Done)
     (* ----- Traffic controller -----
@@ -1096,15 +966,13 @@ module Call = struct
        change WHEN work runs, never what it is allowed to touch —
        mediation stays schedule-invariant (experiment E17's oracle). *)
     | Sched_status ->
-        call_hardware system ~handle ~operation:"sched_status" ~target:"scheduler" (fun _p ->
+        on Op.sched_status (named "scheduler") (fun _p _subject ->
             match System.scheduler system with
             | None -> Error No_scheduler
             | Some sc ->
                 Ok (Sched_report { policy = sc.System.sc_policy (); counters = sc.System.sc_counters () }))
     | Sched_tune { param; value } ->
-        call_hardware system ~handle ~operation:"sched_tune"
-          ~target:(Printf.sprintf "%s=%d" param value)
-          (fun _p ->
+        on Op.sched_tune (named (Printf.sprintf "%s=%d" param value)) (fun _p _subject ->
             match System.scheduler system with
             | None -> Error No_scheduler
             | Some sc -> (
@@ -1117,11 +985,23 @@ module Call = struct
        associative-memory populations.  Pure inspection — it can move
        no descriptor and flush no cache. *)
     | Smp_status ->
-        call_hardware system ~handle ~operation:"smp_status" ~target:"plant" (fun _p ->
+        on Op.smp_status (named "plant") (fun _p _subject ->
             match System.plant system with
             | None -> Error No_smp_plant
             | Some plant ->
                 let readings, cpus = Multics_smp.Smp.status plant in
                 Ok (Smp_report { ncpus = Multics_smp.Smp.ncpus plant; plant = readings; cpus }))
-end
 
+  let operation_name system request = (route system request).op.op_name
+
+  (* The one mediation wrapper: find the caller, admit the operation,
+     run the body, settle. *)
+  let dispatch system ~handle request =
+    let { op; at; by_path; body } = route system request in
+    match System.proc system handle with
+    | None -> settle system op at ~subject:anonymous (Error (No_such_process handle))
+    | Some p ->
+        let subject = System.subject_of p in
+        settle system op at ~subject
+          (match admit system p ~by_path op with Error e -> Error e | Ok () -> body p subject)
+end

@@ -1,16 +1,13 @@
-(** The kernel's gate-call interface.  Calls are refused when the gate
-    is absent from the running configuration, when an installed
-    specialisation mask has stripped it, when the caller's ring is
-    outside the gate's call bracket, or when the reference monitor
-    refuses the operation; every call is audited.
+(** The kernel's gate-call interface.  Calls are refused when the
+    caller's process does not exist, when the gate is absent from the
+    running configuration, when an installed specialisation mask has
+    stripped it, when the caller's ring is outside the gate's call
+    bracket, or when the reference monitor refuses the operation; every
+    call writes exactly one audit record.
 
     There is exactly one entry point: build a {!Call.request} and hand
-    it to {!Call.dispatch}.  (The legacy per-gate wrapper functions —
-    one OCaml function per supervisor entry, each privately rebuilding
-    the audit/metering prologue — have completed their deprecation
-    window and are gone: a second door is a second place the
-    specialisation mask and the metering would have to hold.)  New
-    supervisor entries are added as [Call.request] constructors. *)
+    it to {!Call.dispatch}.  New supervisor entries are added as
+    [Call.request] constructors. *)
 
 open Multics_access
 open Multics_fs
@@ -49,10 +46,6 @@ val error_to_string : error -> string
 
 val pp : Format.formatter -> error -> unit
 (** Canonical human rendering; [error_to_string] is [Fmt.str "%a" pp]. *)
-
-val error_to_json : error -> string
-(** Machine-readable refusal cause: an object with a ["kind"]
-    discriminator plus cause-specific fields. *)
 
 (** {1 Reply payload records} *)
 
@@ -186,11 +179,22 @@ module Call : sig
   type response = (reply, error) result
 
   val operation_name : System.t -> request -> string
-  (** The operation name the request is mediated, audited, and metered
-      under — configuration-dependent for device I/O. *)
+  (** The operation the request is mediated, audited and metered under,
+      read from the same per-request decision {!dispatch} runs.  It
+      depends on the configuration for device I/O (a per-device gate or
+      the network attachment's) and for process management (a
+      supervisor gate under privileged login, [subsystem_entry:<gate>]
+      under unified login). *)
 
   val dispatch : System.t -> handle:int -> request -> response
-  (** Mediate one gate call: gate presence, specialisation mask, ring
-      bracket, reference monitor; writes the audit record and the
-      observability counters. *)
+  (** Mediate one gate call: the caller's process, then for a
+      supervisor gate its presence, the specialisation mask, the ring
+      bracket and an injected deny, then the body (the reference
+      monitor).  Whatever the outcome it writes exactly one audit record
+      and one set of observability counters; a call from an unknown
+      handle is refused with [No_such_process] and audited under an
+      anonymous subject at the outermost ring.  A by-path attribute
+      edit ([Set_acl_by_path], [Set_brackets_by_path]) is audited under
+      [set_acl]/[set_brackets] and refused with [Gate_absent
+      "<x>_by_path"] while naming is out of the kernel. *)
 end

@@ -328,8 +328,21 @@ let subject_of (p : proc) =
 
 let process_dir_name ~handle = Printf.sprintf "p%03d" handle
 
-(* Build a fresh process for an account at a session level.  Shared by
-   login and by the create_process / new_proc gates. *)
+(* Make a segment known to a process and install its descriptor.  The
+   SDW is computed ONCE here, from ACL x label x brackets — this is the
+   descriptor-construction point the reference monitor lives at; every
+   later reference is checked against the installed SDW, as the
+   hardware does. *)
+let install_known t (p : proc) ~uid =
+  let segno, _already = Kst.make_known p.kst ~uid in
+  (match Hierarchy.sdw_for t.hierarchy ~subject:(subject_of p) ~uid with
+  | Some sdw -> ignore (Kst.set_sdw p.kst segno sdw)
+  | None -> ());
+  segno
+
+(* Build a fresh process for an account at a session level, primed
+   with its starting points.  Shared by login and by the create_process
+   / new_proc gates. *)
 let make_process t ~(account : account) ~session_level ~login_ring =
   let handle = t.next_handle in
   t.next_handle <- handle + 1;
@@ -384,6 +397,13 @@ let make_process t ~(account : account) ~session_level ~login_ring =
    with
   | Ok _ -> ()
   | Error _ -> ());
+  (* Prime the address space with the root, the home directory, the
+     system library and the per-process directory, so the process can
+     name starting points. *)
+  List.iter
+    (fun uid -> ignore (install_known t p ~uid))
+    ([ Uid.root; account.home; t.lib_dir ]
+    @ Option.to_list (Hierarchy.raw_lookup t.hierarchy ~dir:t.pdd_dir ~name:pdd_name));
   handle
 
 (* Authenticate and create a process.  Under [Privileged_login] the
@@ -450,37 +470,6 @@ let process_count t = Hashtbl.length t.procs
 
 let handles t = Hashtbl.fold (fun h _ acc -> h :: acc) t.procs [] |> List.sort Int.compare
 
-(* Make a segment known to a process and install its descriptor.  The
-   SDW is computed ONCE here, from ACL x label x brackets — this is the
-   descriptor-construction point the reference monitor lives at; every
-   later reference is checked against the installed SDW, as the
-   hardware does. *)
-let install_known t (p : proc) ~uid =
-  let segno, _already = Kst.make_known p.kst ~uid in
-  (match Hierarchy.sdw_for t.hierarchy ~subject:(subject_of p) ~uid with
-  | Some sdw -> ignore (Kst.set_sdw p.kst segno sdw)
-  | None -> ());
-  segno
-
-(* [login] primes every new process with the root, its home and the
-   system library already known, so it can name starting points. *)
-let login ?level t ~person ~project ~password =
-  match login ?level t ~person ~project ~password with
-  | Error _ as e -> e
-  | Ok handle ->
-      (match (proc t handle, find_account t ~person ~project) with
-      | Some p, Some account ->
-          ignore (install_known t p ~uid:Uid.root);
-          ignore (install_known t p ~uid:account.home);
-          ignore (install_known t p ~uid:t.lib_dir);
-          (match
-             Hierarchy.raw_lookup t.hierarchy ~dir:t.pdd_dir ~name:(process_dir_name ~handle)
-           with
-          | Some uid -> ignore (install_known t p ~uid)
-          | None -> ())
-      | _, _ -> ());
-      Ok handle
-
 (* Create another process for the same account (the create_process and
    new_proc gates): same principal, same session level, a fresh address
    space, primed like a login. *)
@@ -493,22 +482,7 @@ let clone_process t ~handle =
       match find_account t ~person ~project with
       | None -> None
       | Some account ->
-          let child =
-            make_process t ~account ~session_level:p.clearance ~login_ring:p.login_ring
-          in
-          (match proc t child with
-          | Some cp ->
-              ignore (install_known t cp ~uid:Uid.root);
-              ignore (install_known t cp ~uid:account.home);
-              ignore (install_known t cp ~uid:t.lib_dir);
-              (match
-                 Hierarchy.raw_lookup t.hierarchy ~dir:t.pdd_dir
-                   ~name:(process_dir_name ~handle:child)
-               with
-              | Some uid -> ignore (install_known t cp ~uid)
-              | None -> ())
-          | None -> ());
-          Some child)
+          Some (make_process t ~account ~session_level:p.clearance ~login_ring:p.login_ring))
 
 (* Handles belonging to the same principal (person.project). *)
 let sibling_handles t ~handle =

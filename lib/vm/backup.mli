@@ -13,7 +13,7 @@ type error = Bad_period of int | Bad_sweeps of int
 val pp_error : Format.formatter -> error -> unit
 
 val error_to_json : error -> string
-(** Same rendering conventions as [Api.error_to_json]. *)
+(** A JSON object: an ["error"] discriminator plus the offending value. *)
 
 val start :
   ?tape_cost_per_page:int ->

@@ -9,9 +9,13 @@
      invariant;
    - a write at [max_int] overflowed the page count.
 
-   Then a QCheck property over hostile request streams: whatever the
+   Then the single mediation path: directed regressions for the calls
+   that used to leave the path unaudited (the by-path attribute edits
+   under user-ring naming, and a caller handle that names no process),
+   and a QCheck property over hostile streams of every request
+   constructor from live, unknown and logged-out callers: whatever the
    ints and names, [dispatch] never raises, writes exactly one audit
-   record and one [gate.calls] tick per call, and leaves the quota
+   record of the call and one [gate.calls] tick, and leaves the quota
    invariant holding. *)
 
 open Multics_access
@@ -23,8 +27,8 @@ let ok what = function Ok v -> v | Error e -> Alcotest.fail (what ^ ": " ^ Api.e
 
 (* Alice, her home under an effectively unlimited quota cell, and an
    owner-rw segment in it. *)
-let boot () =
-  let system = System.create Config.kernel_6180 in
+let boot ?(config = Config.kernel_6180) () =
+  let system = System.create config in
   ignore
     (System.add_account system ~person:"Alice" ~project:"Dev" ~password:"pw"
        ~clearance:Label.unclassified);
@@ -90,9 +94,87 @@ let test_max_int_write () =
     (Gate_calls.write_word system ~handle:alice ~segno:seg ~offset:max_int ~value:1);
   Alcotest.(check bool) "quota invariant holds" true (quota_holds system)
 
+(* ----- Calls that used to bypass the audit ----- *)
+
+let gate_calls () = Obs.Counter.get (Obs.Registry.counter (Obs.Registry.global ()) "gate.calls")
+
+(* Dispatch one request and return its response with the records and
+   [gate.calls] ticks it added. *)
+let traced system ~handle request =
+  let audit = System.audit system in
+  let logged = Audit_log.logged audit and calls = gate_calls () in
+  let response = Api.Call.dispatch system ~handle request in
+  (response, Audit_log.tail audit (Audit_log.logged audit - logged), gate_calls () - calls)
+
+let expect_one_record what ~subject ~ring ~operation ~target ~cause (response, records, calls) =
+  (match response with
+  | Error e when e = cause -> ()
+  | Error e -> Alcotest.failf "%s: refused with %s" what (Api.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: admitted" what);
+  Alcotest.(check int) (what ^ ": gate.calls") 1 calls;
+  match records with
+  | [ r ] ->
+      Alcotest.(check (list string))
+        (what ^ ": record")
+        [ subject; string_of_int ring; operation; target; "REFUSED: " ^ Api.error_to_string cause ]
+        [
+          r.Audit_log.subject;
+          string_of_int r.Audit_log.ring;
+          r.Audit_log.operation;
+          r.Audit_log.target;
+          (match r.Audit_log.verdict with
+          | Audit_log.Refused why -> "REFUSED: " ^ why
+          | Audit_log.Granted | Audit_log.Refused_by _ -> "granted");
+        ]
+  | records -> Alcotest.failf "%s: %d audit records" what (List.length records)
+
+let test_by_path_refusals_audited () =
+  let system, alice, _, _ = boot () in
+  let path = ">udd>Dev>Alice>data" in
+  expect_one_record "set_acl_by_path" ~subject:"Alice.Dev.a" ~ring:4 ~operation:"set_acl"
+    ~target:path ~cause:(Api.Gate_absent "set_acl_by_path")
+    (traced system ~handle:alice
+       (Api.Call.Set_acl_by_path { path; acl = Acl.of_strings [ ("*.*.*", "rw") ] }));
+  expect_one_record "set_brackets_by_path" ~subject:"Alice.Dev.a" ~ring:4 ~operation:"set_brackets"
+    ~target:path ~cause:(Api.Gate_absent "set_brackets_by_path")
+    (traced system ~handle:alice
+       (Api.Call.Set_brackets_by_path { path; brackets = Multics_machine.Brackets.user_data }))
+
+let test_unknown_caller_audited () =
+  let system, alice, _, _ = boot () in
+  Alcotest.(check string) "operation name" "subsystem_entry:proc_info"
+    (Api.Call.operation_name system Api.Call.Proc_info);
+  expect_one_record "handle 12345" ~subject:"anonymous.anonymous.a" ~ring:7
+    ~operation:"subsystem_entry:proc_info" ~target:"self" ~cause:(Api.No_such_process 12345)
+    (traced system ~handle:12345 Api.Call.Proc_info);
+  ignore (System.logout system ~handle:alice);
+  expect_one_record "logged-out caller" ~subject:"anonymous.anonymous.a" ~ring:7
+    ~operation:"read_word" ~target:"1|0" ~cause:(Api.No_such_process alice)
+    (traced system ~handle:alice (Api.Call.Read_word { segno = 1; offset = 0 }))
+
+(* An empty path used to raise [Invalid_argument] while being split
+   into its directory and entry name. *)
+let test_empty_path_refuses () =
+  let system, alice, _, _ = boot ~config:Config.baseline_645 () in
+  let acl = Acl.of_strings [ ("Alice.Dev.*", "rw") ] and label = Label.unclassified in
+  List.iter
+    (fun request ->
+      let name = Api.Call.operation_name system request in
+      match traced system ~handle:alice request with
+      | Error _, [ _ ], 1 -> ()
+      | Ok _, _, _ -> Alcotest.failf "%s of \"\" admitted" name
+      | Error _, records, calls ->
+          Alcotest.failf "%s of \"\": %d records, %d gate.calls" name (List.length records) calls)
+    [
+      Api.Call.Delete_by_path { path = "" };
+      Api.Call.Create_segment_by_path { path = ""; acl; label; brackets = None };
+      Api.Call.Create_directory_by_path { path = ""; acl; label };
+    ]
+
 (* ----- The hostile-dispatch property ----- *)
 
-let _, alice_handle, home_segno, seg_segno = boot ()
+let configs = [ Config.kernel_6180; Config.baseline_645 ]
+let booted = List.map (fun config -> boot ~config ()) configs
 
 let hostile_int =
   QCheck.Gen.(
@@ -107,7 +189,13 @@ let hostile_int =
 
 (* Segment numbers: the caller's real home and segment two times in
    three, so hostile offsets and values reach the content path. *)
-let hostile_segno = QCheck.Gen.(frequency [ (2, oneofl [ home_segno; seg_segno ]); (1, hostile_int) ])
+let hostile_segno =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofl (List.concat_map (fun (_, _, home, seg) -> [ home; seg ]) booted));
+        (1, hostile_int);
+      ])
 
 let hostile_name =
   QCheck.Gen.(
@@ -117,85 +205,212 @@ let hostile_name =
         string_size ~gen:printable (int_range 0 12);
       ])
 
-let hostile_request =
+let fault_spec =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ "gate.deny=every:2"; "gate.abort=every:1"; "io.device=every:1"; "cache.flush=every:2" ];
+        hostile_name;
+      ])
+
+(* Who calls: the live caller, a handle that never named a process, or
+   one whose process has logged out.  A [Destroy_process] may target
+   the caller itself or a real sibling, resolved when the call runs. *)
+type caller = Live | Unknown of int | Ended
+type spec = Request of Api.Call.request | Destroy_self | Destroy_sibling
+
+let hostile_caller =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, return Live);
+        (1, map (fun h -> Unknown h) (oneofl [ 12345; -1; 0; min_int; max_int ]));
+        (1, return Ended);
+      ])
+
+(* One generator per [Api.Call.request] constructor. *)
+let hostile_spec =
   let open QCheck.Gen in
   let acl = Acl.of_strings [ ("Alice.Dev.*", "rw") ] and label = Label.unclassified in
+  let brackets = oneofl Multics_machine.Brackets.[ user_data; kernel_private ] in
+  let device = oneofl Multics_io.Device.all in
   let segno = hostile_segno and n = hostile_int and name = hostile_name in
+  let req g = map (fun r -> Request r) g and const r = return (Request r) in
   oneof
     [
-      map2 (fun segno offset -> Api.Call.Read_word { segno; offset }) segno n;
-      map3 (fun segno offset value -> Api.Call.Write_word { segno; offset; value }) segno n n;
-      map2 (fun dir_segno name -> Api.Call.Initiate { dir_segno; name }) segno name;
-      map (fun segno -> Api.Call.Terminate { segno }) segno;
-      map2
-        (fun dir_segno name ->
-          Api.Call.Create_segment { dir_segno; name; acl; label; brackets = None })
-        segno name;
-      map2 (fun dir_segno name -> Api.Call.Create_directory { dir_segno; name; acl; label }) segno name;
-      map2 (fun dir_segno name -> Api.Call.Delete_entry { dir_segno; name }) segno name;
-      map3
-        (fun dir_segno name new_name -> Api.Call.Rename_entry { dir_segno; name; new_name })
-        segno name name;
-      map (fun dir_segno -> Api.Call.List_directory { dir_segno }) segno;
-      map2 (fun dir_segno name -> Api.Call.Status_entry { dir_segno; name }) segno name;
-      map2 (fun segno gate_bound -> Api.Call.Set_gate_bound { segno; gate_bound }) segno n;
-      map2 (fun segno quota -> Api.Call.Set_quota { segno; quota }) segno (opt n);
-      map (fun segno -> Api.Call.Set_acl { segno; acl }) segno;
-      map (fun path -> Api.Call.Resolve_path { path }) name;
-      map (fun path -> Api.Call.Initiate_by_path { path }) name;
-      map (fun channel -> Api.Call.Send_wakeup { channel }) n;
-      map (fun channel -> Api.Call.Block { channel }) n;
-      return Api.Call.Create_channel;
-      (* Never the caller's own process (no caller would be left to
-         audit the next call), and no Create_process: destroying a real
-         sibling also audits its logout, a second record. *)
-      map
-        (fun target ->
-          Api.Call.Destroy_process { target = (if target = alice_handle then -1 else target) })
-        n;
-      map2 (fun segno link_index -> Api.Call.Snap_link { segno; link_index }) segno n;
-      map (fun segno -> Api.Call.List_links { segno }) segno;
-      map2 (fun name segno -> Api.Call.Rnt_bind { name; segno }) name segno;
-      map (fun dir_segnos -> Api.Call.Set_search_rules { dir_segnos }) (list_size (int_range 0 4) segno);
-      map (fun dir_segno -> Api.Call.Set_working_dir { dir_segno }) segno;
-      map (fun segno -> Api.Call.Probe_access { segno; requested = Multics_machine.Mode.rw }) segno;
-      map2 (fun param value -> Api.Call.Sched_tune { param; value }) name n;
-      map (fun message -> Api.Call.Operator_message { message }) name;
-      map3
-        (fun segno entry_offset name -> Api.Call.Enter_subsystem { segno; entry_offset; name })
-        segno n name;
+      req (map2 (fun dir_segno name -> Api.Call.Initiate { dir_segno; name }) segno name);
+      req (map (fun segno -> Api.Call.Terminate { segno }) segno);
+      req
+        (map2
+           (fun dir_segno name ->
+             Api.Call.Create_segment { dir_segno; name; acl; label; brackets = None })
+           segno name);
+      req (map2 (fun dir_segno name -> Api.Call.Create_directory { dir_segno; name; acl; label }) segno name);
+      req (map2 (fun dir_segno name -> Api.Call.Delete_entry { dir_segno; name }) segno name);
+      req
+        (map3
+           (fun dir_segno name new_name -> Api.Call.Rename_entry { dir_segno; name; new_name })
+           segno name name);
+      req (map (fun dir_segno -> Api.Call.List_directory { dir_segno }) segno);
+      req (map2 (fun dir_segno name -> Api.Call.Status_entry { dir_segno; name }) segno name);
+      req (map (fun segno -> Api.Call.Set_acl { segno; acl }) segno);
+      req (map2 (fun segno brackets -> Api.Call.Set_brackets { segno; brackets }) segno brackets);
+      req (map2 (fun segno gate_bound -> Api.Call.Set_gate_bound { segno; gate_bound }) segno n);
+      req (map2 (fun segno quota -> Api.Call.Set_quota { segno; quota }) segno (opt n));
+      req (map2 (fun segno offset -> Api.Call.Read_word { segno; offset }) segno n);
+      req (map3 (fun segno offset value -> Api.Call.Write_word { segno; offset; value }) segno n n);
+      req (map (fun path -> Api.Call.Initiate_by_path { path }) name);
+      req
+        (map
+           (fun path -> Api.Call.Create_segment_by_path { path; acl; label; brackets = None })
+           name);
+      req (map (fun path -> Api.Call.Create_directory_by_path { path; acl; label }) name);
+      req (map (fun path -> Api.Call.Delete_by_path { path }) name);
+      req (map (fun path -> Api.Call.Set_acl_by_path { path; acl }) name);
+      req (map2 (fun path brackets -> Api.Call.Set_brackets_by_path { path; brackets }) name brackets);
+      req (map (fun path -> Api.Call.Resolve_path { path }) name);
+      req (map (fun path -> Api.Call.Terminate_by_path { path }) name);
+      req (map2 (fun name segno -> Api.Call.Rnt_bind { name; segno }) name segno);
+      req (map (fun name -> Api.Call.Rnt_lookup { name }) name);
+      req (map (fun name -> Api.Call.Rnt_unbind { name }) name);
+      req (map (fun segno -> Api.Call.List_reference_names { segno }) segno);
+      const Api.Call.Get_working_dir;
+      req (map (fun dir_segno -> Api.Call.Set_working_dir { dir_segno }) segno);
+      const Api.Call.Initiate_count;
+      req (map2 (fun segno link_index -> Api.Call.Snap_link { segno; link_index }) segno n);
+      req (map (fun segno -> Api.Call.List_links { segno }) segno);
+      req
+        (map (fun dir_segnos -> Api.Call.Set_search_rules { dir_segnos }) (list_size (int_range 0 4) segno));
+      const Api.Call.Get_search_rules;
+      req
+        (map3
+           (fun segno entry_offset name -> Api.Call.Enter_subsystem { segno; entry_offset; name })
+           segno n name);
+      const Api.Call.Exit_subsystem;
+      const Api.Call.Create_channel;
+      req (map (fun channel -> Api.Call.Send_wakeup { channel }) n);
+      req (map (fun channel -> Api.Call.Block { channel }) n);
+      req (map (fun device -> Api.Call.Attach_device { device }) device);
+      req (map (fun device -> Api.Call.Detach_device { device }) device);
+      req (map2 (fun device message -> Api.Call.Device_write { device; message }) device n);
+      req (map (fun device -> Api.Call.Device_read { device }) device);
+      const Api.Call.Create_process;
+      oneof
+        [
+          req (map (fun target -> Api.Call.Destroy_process { target }) n);
+          return Destroy_self;
+          return Destroy_sibling;
+        ];
+      const Api.Call.New_proc;
+      const Api.Call.Proc_info;
+      const Api.Call.List_processes;
+      req (map (fun message -> Api.Call.Operator_message { message }) name);
+      req (map2 (fun seed spec -> Api.Call.Set_fault_plan { seed; spec }) n fault_spec);
+      const Api.Call.Fault_status;
+      const Api.Call.Clear_faults;
+      const Api.Call.Salvage;
+      req
+        (map2
+           (fun segno requested -> Api.Call.Probe_access { segno; requested })
+           segno
+           (oneofl Multics_machine.Mode.[ r; rw; rew ]));
+      const Api.Call.Cache_status;
+      const Api.Call.Cache_clear;
+      const Api.Call.Sched_status;
+      req (map2 (fun param value -> Api.Call.Sched_tune { param; value }) name n);
+      const Api.Call.Smp_status;
     ]
 
-let gate_calls () = Obs.Counter.get (Obs.Registry.counter (Obs.Registry.global ()) "gate.calls")
+(* The records one call may add: those of the processes it ended
+   ([logout]), the salvager's own report for [Salvage], then exactly
+   one record of the call itself, last, under [operation_name] and the
+   caller's subject (anonymous when the handle names no process). *)
+let call_record_ok ~request ~name ~subject ~ended records =
+  let extra (r : Audit_log.record) =
+    r.operation = "logout"
+    || (request = Api.Call.Salvage && r.operation = "salvage"
+       && r.subject = Principal.to_string Principal.system_daemon)
+  in
+  match List.rev records with
+  | [] -> false
+  | (call : Audit_log.record) :: rest ->
+      call.operation = name && call.subject = subject && List.for_all extra rest
+      && List.length (List.filter (fun (r : Audit_log.record) -> r.operation = "logout") rest)
+         = List.length ended
+
+let run_case (config, steps) =
+  let system, alice, _, _ = boot ~config () in
+  let current = ref alice and ended = ref [] in
+  let relogin () =
+    match System.handles system with
+    | h :: _ -> h
+    | [] -> (
+        match System.login system ~person:"Alice" ~project:"Dev" ~password:"pw" with
+        | Ok h -> h
+        | Error e -> QCheck.Test.fail_report (System.login_error_to_string e))
+  in
+  let sibling () =
+    match List.filter (( <> ) !current) (System.sibling_handles system ~handle:!current) with
+    | h :: _ -> h
+    | [] -> Option.value ~default:(-1) (System.clone_process system ~handle:!current)
+  in
+  let ended_handle () =
+    match !ended with
+    | h :: _ -> h
+    | [] -> (
+        match System.clone_process system ~handle:!current with
+        | Some h ->
+            ignore (System.logout system ~handle:h);
+            ended := [ h ];
+            h
+        | None -> -1)
+  in
+  List.for_all
+    (fun (caller, spec) ->
+      let request =
+        match spec with
+        | Request r -> r
+        | Destroy_self -> Api.Call.Destroy_process { target = !current }
+        | Destroy_sibling -> Api.Call.Destroy_process { target = sibling () }
+      in
+      let handle = match caller with Live -> !current | Unknown h -> h | Ended -> ended_handle () in
+      let subject =
+        if caller = Live then "Alice.Dev.a" else "anonymous.anonymous.a"
+      in
+      let name = Api.Call.operation_name system request in
+      let before = System.handles system in
+      match traced system ~handle request with
+      | exception e ->
+          QCheck.Test.fail_reportf "%s from %d raised %s" name handle (Printexc.to_string e)
+      | _, records, calls ->
+          let gone = List.filter (fun h -> System.proc system h = None) before in
+          ended := gone @ !ended;
+          if System.proc system !current = None then current := relogin ();
+          (call_record_ok ~request ~name ~subject ~ended:gone records && calls = 1
+          && quota_holds system)
+          || QCheck.Test.fail_reportf "%s from %d (%s): records [%s], %d gate.calls, quota %b" name
+               handle config.Config.name
+               (String.concat "; " (List.map (Fmt.str "%a" Audit_log.pp_record) records))
+               calls (quota_holds system))
+    steps
 
 let hostile_dispatch =
-  QCheck.Test.make ~name:"hostile dispatch: total, audited once, metered once, quota holds"
-    ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 25) hostile_request))
-    (fun requests ->
-      let system, alice, _, _ = boot () in
-      let audit = System.audit system in
-      List.for_all
-        (fun request ->
-          let logged = Multics_kernel.Audit_log.logged audit and calls = gate_calls () in
-          match Api.Call.dispatch system ~handle:alice request with
-          | exception e ->
-              QCheck.Test.fail_reportf "%s raised %s"
-                (Api.Call.operation_name system request)
-                (Printexc.to_string e)
-          | _ ->
-              let logged = Multics_kernel.Audit_log.logged audit - logged
-              and calls = gate_calls () - calls in
-              logged = 1 && calls = 1 && quota_holds system
-              || QCheck.Test.fail_reportf "%s: %d audit records, %d gate.calls, quota %b"
-                   (Api.Call.operation_name system request)
-                   logged calls (quota_holds system))
-        requests)
+  QCheck.Test.make
+    ~name:"hostile dispatch: total, audited once, metered once, quota holds" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair (oneofl configs) (list_size (int_range 1 25) (pair hostile_caller hostile_spec))))
+    run_case
 
 let suite =
   [
     Alcotest.test_case "read past the segment bound refuses" `Quick test_read_past_bound;
     Alcotest.test_case "write at 2^40 charges no quota" `Quick test_huge_write_charges_nothing;
     Alcotest.test_case "write at max_int refuses without overflow" `Quick test_max_int_write;
+    Alcotest.test_case "by-path attribute edits are audited refusals" `Quick
+      test_by_path_refusals_audited;
+    Alcotest.test_case "an unknown caller is an audited refusal" `Quick test_unknown_caller_audited;
+    Alcotest.test_case "an empty by-path name refuses" `Quick test_empty_path_refuses;
     QCheck_alcotest.to_alcotest hostile_dispatch;
   ]
