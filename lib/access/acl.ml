@@ -5,7 +5,12 @@
    Multics rule: the most specific matching entry decides, with the
    person component most significant.  An explicit null-mode entry is
    how access is denied to a specific principal while a broader entry
-   grants it to everyone else. *)
+   grants it to everyone else.
+
+   ACLs are pure values with no global state: building or editing one
+   changes nothing until it is installed on a branch, and revoking the
+   cached verdicts derived from the old ACL is the installer's job
+   (Hierarchy bumps the object's epoch on every ACL write). *)
 
 open Multics_machine
 
@@ -14,34 +19,6 @@ type entry = { pattern : Principal.pattern; mode : Mode.t }
 type t = entry list (* kept sorted, most specific first *)
 
 let empty = []
-
-(* Mutation hook.  ACLs are pure values, so "mutation" means producing a
-   modified list — but cached access decisions derive from ACL contents,
-   and a cache that misses a revocation is a security hole.  Every entry
-   point that produces a modified ACL therefore bumps a module-level
-   generation and notifies subscribers, so observers (the AVC, audit,
-   future subscribers) cannot miss an edit even if a caller stores the
-   new list somewhere unexpected.  Callers that track *which* object
-   changed layer per-object generations on top (see Hierarchy).
-
-   The counter and subscriber list are domain-local: a kernel booted on
-   a worker domain (a parallel per-seed experiment task) subscribes its
-   own caches in that domain, and its ACL edits must not fan out to —
-   or race with — kernels living on other domains. *)
-type mutation_state = { mutable generation : int; mutable subscribers : (unit -> unit) list }
-
-let state_key = Domain.DLS.new_key (fun () -> { generation = 0; subscribers = [] })
-
-let generation () = (Domain.DLS.get state_key).generation
-
-let on_change f =
-  let s = Domain.DLS.get state_key in
-  s.subscribers <- f :: s.subscribers
-
-let note_mutation () =
-  let s = Domain.DLS.get state_key in
-  s.generation <- s.generation + 1;
-  List.iter (fun f -> f ()) s.subscribers
 
 let entry_compare a b =
   (* Most specific first; ties broken by pattern text for determinism. *)
@@ -55,7 +32,6 @@ let entry_compare a b =
   | c -> c
 
 let add t ~pattern ~mode =
-  note_mutation ();
   let without =
     List.filter
       (fun e -> Principal.pattern_to_string e.pattern <> Principal.pattern_to_string pattern)
@@ -67,7 +43,6 @@ let add_string t ~pattern ~mode =
   add t ~pattern:(Principal.pattern_of_string pattern) ~mode:(Mode.of_string mode)
 
 let remove t ~pattern =
-  note_mutation ();
   List.filter
     (fun e -> Principal.pattern_to_string e.pattern <> Principal.pattern_to_string pattern)
     t

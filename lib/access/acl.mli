@@ -2,7 +2,12 @@
 
     Evaluation follows the Multics rule: the most specific matching
     entry decides (person component most significant); no match means
-    no access. *)
+    no access.
+
+    A pure value: constructing or editing an ACL has no effect beyond
+    the returned list.  Cached verdicts are revoked per object when an
+    ACL is installed on a branch (the storage hierarchy bumps that
+    object's epoch), never when one is built. *)
 
 open Multics_machine
 
@@ -28,17 +33,5 @@ val mode_for : t -> Principal.t -> Mode.t
     [Mode.none]. *)
 
 val permits : t -> Principal.t -> requested:Mode.t -> bool
-
-val generation : unit -> int
-(** Module-level mutation generation: bumped by every entry point that
-    produces a modified ACL ([add], [add_string], [remove],
-    [of_entries], [of_strings]).  Cached access decisions derived from
-    ACL contents compare generations to detect edits they would
-    otherwise miss. *)
-
-val on_change : (unit -> unit) -> unit
-(** Register a callback fired on every ACL mutation (same coverage as
-    {!generation}).  Callbacks cannot be unregistered; intended for
-    process-lifetime subscribers such as the access-decision cache. *)
 
 val pp : Format.formatter -> t -> unit

@@ -53,69 +53,67 @@ let roll_back_journal system =
       | _, _ -> rolled)
     0 (System.crash_journal system)
 
+(* Fold [f] over every segment number in every live process's KST,
+   in handle order, then segment-number order. *)
+let fold_known_segnos system f init =
+  List.fold_left
+    (fun acc handle ->
+      match System.proc system handle with
+      | None -> acc
+      | Some p -> List.fold_left (fun acc segno -> f acc p segno) acc (Kst.known_segnos p.System.kst))
+    init (System.handles system)
+
 (* Phase 2: drop KST entries whose object no longer exists (deleted by
    a rollback, or orphaned by the crash itself).  A dangling segment
    number must not stay addressable. *)
 let drop_dangling system =
   let hierarchy = System.hierarchy system in
-  let dropped = ref 0 in
-  List.iter
-    (fun handle ->
-      match System.proc system handle with
-      | None -> ()
-      | Some p ->
-          List.iter
-            (fun segno ->
-              match Kst.uid_of_segno p.System.kst segno with
-              | Ok uid when not (Hierarchy.uid_exists hierarchy uid) ->
-                  (match Kst.terminate p.System.kst segno with
-                  | Ok () -> incr dropped
-                  | Error _ -> ())
-              | Ok _ | Error _ -> ())
-            (Kst.known_segnos p.System.kst))
-    (System.handles system);
-  !dropped
+  fold_known_segnos system
+    (fun dropped p segno ->
+      match Kst.uid_of_segno p.System.kst segno with
+      | Ok uid when not (Hierarchy.uid_exists hierarchy uid) -> (
+          match Kst.terminate p.System.kst segno with Ok () -> dropped + 1 | Error _ -> dropped)
+      | Ok _ | Error _ -> dropped)
+    0
+
+(* How an installed descriptor compares with the one the reference
+   monitor computes fresh from ACL x label x brackets.  A segment with
+   no descriptor installed has nothing to disagree with. *)
+type descriptor = Agrees | Stale of Multics_machine.Sdw.t | Unauthorized
+
+let check_descriptor system p segno =
+  match (Kst.sdw_of p.System.kst segno, Kst.uid_of_segno p.System.kst segno) with
+  | Some installed, Ok uid -> (
+      match Hierarchy.sdw_for (System.hierarchy system) ~subject:(System.subject_of p) ~uid with
+      | Some fresh when Multics_machine.Sdw.equal installed fresh -> Agrees
+      | Some fresh -> Stale fresh
+      | None -> Unauthorized)
+  | _, _ -> Agrees
+
+let descriptor_disagreements system =
+  fold_known_segnos system
+    (fun bad p segno ->
+      match check_descriptor system p segno with Agrees -> bad | Stale _ | Unauthorized -> bad + 1)
+    0
 
 (* Phase 3: recompute every installed descriptor from the reference
    monitor and repair disagreements.  This is "setfaults" applied
    system-wide — the crash may have interrupted an attribute change
    between the hierarchy update and the descriptor recomputation. *)
-let sdw_differs installed fresh =
-  (not (Multics_machine.Mode.equal (Multics_machine.Sdw.mode installed) (Multics_machine.Sdw.mode fresh)))
-  || (not
-        (Multics_machine.Brackets.equal
-           (Multics_machine.Sdw.brackets installed)
-           (Multics_machine.Sdw.brackets fresh)))
-  || Multics_machine.Sdw.gate_bound installed <> Multics_machine.Sdw.gate_bound fresh
-
 let repair_descriptors system =
-  let hierarchy = System.hierarchy system in
-  let repaired = ref 0 in
-  List.iter
-    (fun handle ->
-      match System.proc system handle with
-      | None -> ()
-      | Some p ->
-          let subject = System.subject_of p in
-          List.iter
-            (fun segno ->
-              match (Kst.sdw_of p.System.kst segno, Kst.uid_of_segno p.System.kst segno) with
-              | Some installed, Ok uid -> (
-                  match Hierarchy.sdw_for hierarchy ~subject ~uid with
-                  | Some fresh ->
-                      if sdw_differs installed fresh then begin
-                        ignore (Kst.set_sdw p.System.kst segno fresh);
-                        incr repaired
-                      end
-                  | None ->
-                      (* The monitor would install nothing: revoke. *)
-                      (match Kst.terminate p.System.kst segno with
-                      | Ok () -> incr repaired
-                      | Error _ -> ()))
-              | _, _ -> ())
-            (Kst.known_segnos p.System.kst))
-    (System.handles system);
-  !repaired
+  fold_known_segnos system
+    (fun repaired p segno ->
+      match check_descriptor system p segno with
+      | Agrees -> repaired
+      | Stale fresh ->
+          ignore (Kst.set_sdw p.System.kst segno fresh);
+          repaired + 1
+      | Unauthorized -> (
+          (* The monitor would install nothing: revoke. *)
+          match Kst.terminate p.System.kst segno with
+          | Ok () -> repaired + 1
+          | Error _ -> repaired))
+    0
 
 let run system =
   let journal_entries = List.length (System.crash_journal system) in

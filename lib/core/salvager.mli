@@ -13,6 +13,12 @@ type report = {
 
 val render : report -> string
 
+val descriptor_disagreements : System.t -> int
+(** Installed descriptors, over every live process's KST, that differ
+    from the one [Hierarchy.sdw_for] computes fresh (or that the
+    monitor would no longer install at all).  Zero after a {!run}: the
+    invariant E15 and the model checker hold the salvager to. *)
+
 val run : System.t -> report
 (** Walk the crash journal (rolling back partially-created branches),
     every process's KST (dropping entries for vanished objects), and

@@ -150,34 +150,6 @@ let oracle_refuses system handle segno ~write =
           in
           not (if write then m.Multics_machine.Mode.write else m.Multics_machine.Mode.read))
 
-let sdw_disagrees installed fresh =
-  let open Multics_machine in
-  (not (Mode.equal (Sdw.mode installed) (Sdw.mode fresh)))
-  || (not (Brackets.equal (Sdw.brackets installed) (Sdw.brackets fresh)))
-  || Sdw.gate_bound installed <> Sdw.gate_bound fresh
-
-(* Invariant 2 sweep: every installed descriptor in every surviving
-   process must equal what the reference monitor computes fresh. *)
-let descriptor_disagreements system =
-  let hierarchy = System.hierarchy system in
-  List.fold_left
-    (fun bad handle ->
-      match System.proc system handle with
-      | None -> bad
-      | Some p ->
-          let subject = System.subject_of p in
-          List.fold_left
-            (fun bad segno ->
-              match (Kst.sdw_of p.System.kst segno, Kst.uid_of_segno p.System.kst segno) with
-              | Some installed, Ok uid -> (
-                  match Hierarchy.sdw_for hierarchy ~subject ~uid with
-                  | Some fresh -> if sdw_disagrees installed fresh then bad + 1 else bad
-                  | None -> bad + 1)
-              | _, _ -> bad)
-            bad
-            (Kst.known_segnos p.System.kst))
-    0 (System.handles system)
-
 let owner_only person = Acl.of_strings [ (Printf.sprintf "%s.Dev.*" person, "rew") ]
 
 let run_gate_pair ?(ops = 40) ~seed () =
@@ -294,7 +266,7 @@ let run_gate_pair ?(ops = 40) ~seed () =
     | Call.Salvaged report -> report
     | _ -> failwith "E15 salvage: unexpected reply shape"
   in
-  let post_salvage_bad = descriptor_disagreements system in
+  let post_salvage_bad = Salvager.descriptor_disagreements system in
   let post_salvage_probe_leaks =
     if probe_leaks_once system ~bob ~alice_home_uid then 1 else 0
   in

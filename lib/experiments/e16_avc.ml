@@ -81,10 +81,8 @@ let reader =
 
 let counter_of stats name = try List.assoc name stats with Not_found -> 0
 
-(* Build the two equivalent ACL variants once, before the measured
-   loop: [Acl] construction itself fires the global on-change backstop,
-   and an edit inside the loop should exercise the *per-object*
-   invalidation path, not the sledgehammer. *)
+(* The two equivalent ACL variants the measured loop alternates
+   between.  Installing either one bumps only that object's epoch. *)
 let acl_variants =
   let base = [ ("Jones.*.*", "rw"); ("Initializer.*.*", "rew") ] in
   ( Acl.of_strings base,

@@ -38,7 +38,7 @@ let paper_claim =
    downward flow, no mediation-path divergence"
 
 (* Depth 5 saturates most of the plant's state space in seconds;
-   MULTICS_MC_DEPTH overrides (CI smoke runs shallower). *)
+   MULTICS_MC_DEPTH overrides (CI runs depth 6). *)
 let default_depth = 5
 
 let depth () =

@@ -86,8 +86,10 @@ type t = {
 
 let words_per_page t = t.words_per_page
 
-(* Any ACL edit, label change, deletion or branch move revokes the
-   cached verdicts derived from the object. *)
+(* The one revocation path: any ACL edit, bracket or label change,
+   deletion or branch move bumps the object's epoch, which revokes the
+   cached verdicts derived from it.  Building an [Acl.t] revokes
+   nothing; only installing it here does. *)
 let note_change t uid = Avc.Gen.bump_object t.gens (Uid.to_int uid)
 
 let invalidate_cached_verdicts t = Avc.Gen.bump_global t.gens
@@ -124,12 +126,6 @@ let create ?(words_per_page = 64) () =
   in
   Hashtbl.replace nodes (Uid.to_int Uid.root) root;
   let gens = Avc.Gen.create () in
-  (* Backstop for the cache: any ACL construction anywhere bumps the
-     global generation, so even an edit that somehow bypassed the
-     per-object bumps below could not leave a stale verdict alive.
-     Conservative (it may invalidate more than necessary), never
-     unsound. *)
-  Acl.on_change (fun () -> Avc.Gen.bump_global gens);
   {
     nodes;
     uids = Uid.generator ();

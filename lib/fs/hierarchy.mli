@@ -34,7 +34,8 @@ val error_to_string : error -> string
 
 val create : ?words_per_page:int -> unit -> t
 (** A hierarchy containing only the root directory [>] (listable by
-    anyone, label Unclassified). *)
+    anyone, label Unclassified).  Registers nothing outside the
+    returned record. *)
 
 val words_per_page : t -> int
 
@@ -147,7 +148,11 @@ val raw_set_label : t -> uid:Uid.t -> label:Label.t -> bool
     the structured verdict.  Every ACL edit, label change, bracket
     change, deletion or branch move above bumps the object's epoch
     generation, so revocation is immediate (the "setfaults"
-    discipline), never TTL-based.  [check_access_fresh] recomputes
+    discipline), never TTL-based.  Those per-object bumps, and the
+    global one of [invalidate_cached_verdicts], are the only
+    revocation path: building an [Acl.t] revokes nothing until it is
+    installed here, and one hierarchy's edits never touch another's
+    table.  [check_access_fresh] recomputes
     from scratch; the property tests hold the two equal at every
     step. *)
 

@@ -20,6 +20,9 @@ let mode t = t.mode
 let brackets t = t.brackets
 let gate_bound t = t.gate_bound
 
+let equal a b =
+  Mode.equal a.mode b.mode && Brackets.equal a.brackets b.brackets && a.gate_bound = b.gate_bound
+
 let is_gate_offset t offset = offset >= 0 && offset < t.gate_bound
 
 let user_data_segment ~writable =

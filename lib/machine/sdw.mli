@@ -10,6 +10,9 @@ val mode : t -> Mode.t
 val brackets : t -> Brackets.t
 val gate_bound : t -> int
 
+val equal : t -> t -> bool
+(** Same mode, brackets and gate bound. *)
+
 val is_gate_offset : t -> int -> bool
 (** Whether an inward call may target this entry offset. *)
 

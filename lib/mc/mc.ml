@@ -291,38 +291,6 @@ let fresh_mode t who seg =
   Hierarchy.effective_mode (System.hierarchy t.system) ~subject:(System.subject_of p)
     ~uid:(uid_of t seg)
 
-(* E15's invariant-2 oracle: every installed descriptor must agree
-   with a fresh recomputation from ACL x label x brackets. *)
-let descriptor_disagreements t =
-  List.fold_left
-    (fun bad handle ->
-      match System.proc t.system handle with
-      | None -> bad
-      | Some p ->
-          let subject = System.subject_of p in
-          let hierarchy = System.hierarchy t.system in
-          List.fold_left
-            (fun bad segno ->
-              match Kst.sdw_of p.System.kst segno with
-              | None -> bad
-              | Some installed -> (
-                  match
-                    Kst.uid_of_segno p.System.kst segno |> Result.to_option
-                    |> Fun.flip Option.bind (fun uid ->
-                           Hierarchy.sdw_for hierarchy ~subject ~uid)
-                  with
-                  | None -> bad + 1
-                  | Some fresh ->
-                      if
-                        Mode.equal (Sdw.mode installed) (Sdw.mode fresh)
-                        && Brackets.equal (Sdw.brackets installed) (Sdw.brackets fresh)
-                        && Sdw.gate_bound installed = Sdw.gate_bound fresh
-                      then bad
-                      else bad + 1))
-            bad
-            (Kst.known_segnos p.System.kst))
-    0 (System.handles t.system)
-
 let apply_action t action =
   match action with
   | Read (who, seg) -> (
@@ -400,7 +368,7 @@ let apply_action t action =
             record t "P2-fail-secure" "quota invariant broken after salvage";
           if System.crash_journal t.system <> [] then
             record t "P2-fail-secure" "crash journal survived a salvage";
-          let bad = descriptor_disagreements t in
+          let bad = Salvager.descriptor_disagreements t.system in
           if bad > 0 then
             record t "P2-fail-secure"
               (Printf.sprintf "%d descriptor disagreements survived a salvage" bad)

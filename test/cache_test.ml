@@ -227,6 +227,37 @@ let test_rename_keeps_parity () =
   ignore (fs_ok "rename" (Hierarchy.rename_entry h ~subject:operator ~dir:Uid.root ~name:"s" ~new_name:"t"));
   ignore (check_both h ~subject:alice ~uid ~requested:Mode.r)
 
+(* Building ACL values or booting another hierarchy is not a
+   revocation: a warm cell stays a hit.  Installing an ACL on the
+   object is, and it alone makes the next check miss and refuse. *)
+let test_acl_construction_revokes_nothing () =
+  Obs.set_enabled true;
+  let h = Hierarchy.create () in
+  let uid = make_segment h "s" in
+  let reading field = List.assoc field (Hierarchy.cache_stats h) in
+  let check_permits what =
+    match check_both h ~subject:alice ~uid ~requested:Mode.rw with
+    | Some Policy.Permit -> ()
+    | _ -> Alcotest.failf "%s: expected permit" what
+  in
+  check_permits "cold";
+  check_permits "warm";
+  let hits = reading "hits" and invalidations = reading "invalidations" in
+  let unrelated = Acl.of_strings [ ("Bob.*.*", "r"); ("*.Ops.*", "rw") ] in
+  let unrelated = Acl.add_string unrelated ~pattern:"Carol.*.*" ~mode:"rew" in
+  ignore (Acl.remove unrelated ~pattern:(Principal.pattern_of_string "Bob.*.*"));
+  ignore (Hierarchy.create ());
+  check_permits "after unrelated ACL values and a second boot";
+  Alcotest.(check (pair int int)) "hits +1, invalidations +0" (hits + 1, invalidations)
+    (reading "hits", reading "invalidations");
+  let misses = reading "misses" in
+  fs_ok "set_acl"
+    (Hierarchy.set_acl h ~subject:operator ~uid ~acl:(Acl.of_strings [ ("Initializer.*.*", "rew") ]));
+  (match Hierarchy.check_access h ~subject:alice ~uid ~requested:Mode.rw with
+  | Some (Policy.Refuse _) -> ()
+  | _ -> Alcotest.fail "set_acl did not revoke the cached grant");
+  Alcotest.(check int) "set_acl: next check misses once" (misses + 1) (reading "misses")
+
 (* ----- The salvager must invalidate cached verdicts ----- *)
 
 let test_salvage_invalidates_caches () =
@@ -432,4 +463,6 @@ let suite =
     Alcotest.test_case "revocation: rename keeps parity" `Quick test_rename_keeps_parity;
     Alcotest.test_case "salvage invalidates cached verdicts" `Quick test_salvage_invalidates_caches;
     Alcotest.test_case "parity: 100 seeds incl. flush storms" `Quick test_parity_100_seeds;
+    Alcotest.test_case "revocation: building ACLs or booting revokes nothing" `Quick
+      test_acl_construction_revokes_nothing;
   ]

@@ -16,7 +16,11 @@
    constructor from live, unknown and logged-out callers: whatever the
    ints and names, [dispatch] never raises, writes exactly one audit
    record of the call and one [gate.calls] tick, and leaves the quota
-   invariant holding. *)
+   invariant holding.  After every call, refusals included, the
+   compiled AV table agrees with fresh policy for every segment any
+   live process knows, so the generated ACL, bracket, delete, salvage
+   and cache-clear streams exercise the one revocation path: the
+   per-object epochs. *)
 
 open Multics_access
 open Multics_kernel
@@ -232,7 +236,13 @@ let hostile_caller =
 (* One generator per [Api.Call.request] constructor. *)
 let hostile_spec =
   let open QCheck.Gen in
-  let acl = Acl.of_strings [ ("Alice.Dev.*", "rw") ] and label = Label.unclassified in
+  (* ACLs that keep, narrow and withdraw Alice's access, so generated
+     edits revoke what earlier calls cached. *)
+  let acl =
+    oneofl
+      (List.map Acl.of_strings
+         [ [ ("Alice.Dev.*", "rw") ]; [ ("Alice.Dev.*", "r") ]; [ ("Initializer.*.*", "rew") ] ])
+  and label = Label.unclassified in
   let brackets = oneofl Multics_machine.Brackets.[ user_data; kernel_private ] in
   let device = oneofl Multics_io.Device.all in
   let segno = hostile_segno and n = hostile_int and name = hostile_name in
@@ -242,11 +252,14 @@ let hostile_spec =
       req (map2 (fun dir_segno name -> Api.Call.Initiate { dir_segno; name }) segno name);
       req (map (fun segno -> Api.Call.Terminate { segno }) segno);
       req
-        (map2
-           (fun dir_segno name ->
+        (map3
+           (fun dir_segno name acl ->
              Api.Call.Create_segment { dir_segno; name; acl; label; brackets = None })
-           segno name);
-      req (map2 (fun dir_segno name -> Api.Call.Create_directory { dir_segno; name; acl; label }) segno name);
+           segno name acl);
+      req
+        (map3
+           (fun dir_segno name acl -> Api.Call.Create_directory { dir_segno; name; acl; label })
+           segno name acl);
       req (map2 (fun dir_segno name -> Api.Call.Delete_entry { dir_segno; name }) segno name);
       req
         (map3
@@ -254,7 +267,7 @@ let hostile_spec =
            segno name name);
       req (map (fun dir_segno -> Api.Call.List_directory { dir_segno }) segno);
       req (map2 (fun dir_segno name -> Api.Call.Status_entry { dir_segno; name }) segno name);
-      req (map (fun segno -> Api.Call.Set_acl { segno; acl }) segno);
+      req (map2 (fun segno acl -> Api.Call.Set_acl { segno; acl }) segno acl);
       req (map2 (fun segno brackets -> Api.Call.Set_brackets { segno; brackets }) segno brackets);
       req (map2 (fun segno gate_bound -> Api.Call.Set_gate_bound { segno; gate_bound }) segno n);
       req (map2 (fun segno quota -> Api.Call.Set_quota { segno; quota }) segno (opt n));
@@ -262,12 +275,12 @@ let hostile_spec =
       req (map3 (fun segno offset value -> Api.Call.Write_word { segno; offset; value }) segno n n);
       req (map (fun path -> Api.Call.Initiate_by_path { path }) name);
       req
-        (map
-           (fun path -> Api.Call.Create_segment_by_path { path; acl; label; brackets = None })
-           name);
-      req (map (fun path -> Api.Call.Create_directory_by_path { path; acl; label }) name);
+        (map2
+           (fun path acl -> Api.Call.Create_segment_by_path { path; acl; label; brackets = None })
+           name acl);
+      req (map2 (fun path acl -> Api.Call.Create_directory_by_path { path; acl; label }) name acl);
       req (map (fun path -> Api.Call.Delete_by_path { path }) name);
-      req (map (fun path -> Api.Call.Set_acl_by_path { path; acl }) name);
+      req (map2 (fun path acl -> Api.Call.Set_acl_by_path { path; acl }) name acl);
       req (map2 (fun path brackets -> Api.Call.Set_brackets_by_path { path; brackets }) name brackets);
       req (map (fun path -> Api.Call.Resolve_path { path }) name);
       req (map (fun path -> Api.Call.Terminate_by_path { path }) name);
@@ -339,6 +352,37 @@ let call_record_ok ~request ~name ~subject ~ended records =
       && List.length (List.filter (fun (r : Audit_log.record) -> r.operation = "logout") rest)
          = List.length ended
 
+(* Compiled AV table = fresh policy: for every live process, every
+   segment number in its KST and each of r, w, rw, the cached
+   [check_access] verdict equals [check_access_fresh].  The first
+   disagreement, rendered, or [None]. *)
+let av_divergence system =
+  let hierarchy = System.hierarchy system in
+  List.find_map
+    (fun handle ->
+      match System.proc system handle with
+      | None -> None
+      | Some p ->
+          let subject = System.subject_of p in
+          List.find_map
+            (fun segno ->
+              match Multics_fs.Kst.uid_of_segno p.System.kst segno with
+              | Error _ -> None
+              | Ok uid ->
+                  List.find_map
+                    (fun requested ->
+                      let cached = Hierarchy.check_access hierarchy ~subject ~uid ~requested in
+                      let fresh = Hierarchy.check_access_fresh hierarchy ~subject ~uid ~requested in
+                      if cached = fresh then None
+                      else
+                        let show = Fmt.(str "%a" (option ~none:(any "dangling") Policy.pp_verdict)) in
+                        Some
+                          (Fmt.str "handle %d segno %d %a: cached %s, fresh %s" handle segno
+                             Multics_machine.Mode.pp requested (show cached) (show fresh)))
+                    Multics_machine.Mode.[ r; w; rw ])
+            (Multics_fs.Kst.known_segnos p.System.kst))
+    (System.handles system)
+
 let run_case (config, steps) =
   let system, alice, _, _ = boot ~config () in
   let current = ref alice and ended = ref [] in
@@ -387,17 +431,21 @@ let run_case (config, steps) =
           let gone = List.filter (fun h -> System.proc system h = None) before in
           ended := gone @ !ended;
           if System.proc system !current = None then current := relogin ();
+          let divergence = av_divergence system in
           (call_record_ok ~request ~name ~subject ~ended:gone records && calls = 1
-          && quota_holds system)
-          || QCheck.Test.fail_reportf "%s from %d (%s): records [%s], %d gate.calls, quota %b" name
-               handle config.Config.name
+          && quota_holds system && divergence = None)
+          || QCheck.Test.fail_reportf
+               "%s from %d (%s): records [%s], %d gate.calls, quota %b, AV parity: %s" name handle
+               config.Config.name
                (String.concat "; " (List.map (Fmt.str "%a" Audit_log.pp_record) records))
-               calls (quota_holds system))
+               calls (quota_holds system)
+               (Option.value divergence ~default:"holds"))
     steps
 
 let hostile_dispatch =
   QCheck.Test.make
-    ~name:"hostile dispatch: total, audited once, metered once, quota holds" ~count:200
+    ~name:"hostile dispatch: total, audited once, metered once, quota holds, AV parity"
+    ~count:200
     (QCheck.make
        QCheck.Gen.(
          pair (oneofl configs) (list_size (int_range 1 25) (pair hostile_caller hostile_spec))))
