@@ -460,12 +460,15 @@ let bench_sid_rebuild =
 (* ----- Observability overhead -----
 
    The same full gate call (a [Read_word] through [Api.Call.dispatch]:
-   process lookup, gate discipline, SDW check, content fetch, metering
-   branch) with the observability switch on and off.  The off row is the seed-equivalent
-   path: its only extra cost is the single disabled branch, so the two
-   rows must land within noise of each other.  The audit trail stays on,
-   as it ships: appending to it and reading its length cost the same at
-   any depth, and past its capacity it overwrites its oldest records. *)
+   process lookup, gate discipline, SDW check, content fetch, metering)
+   with the observability switch on and off.  The off row pays one
+   disabled branch per instrumented site.  The on row adds what the
+   call records: one tick of the gate-call tally and the policy,
+   hardware and cache counters of the layers it crosses.  The rows do
+   not land within noise of each other; the [dispatch] smoke leg bounds
+   their ratio at 1.3x.  The audit trail stays on, as it ships:
+   appending to it costs the same at any depth, and past its capacity
+   it overwrites its oldest records. *)
 
 module Obs = Multics_obs.Obs
 
@@ -655,9 +658,10 @@ let time_iters n f =
 
    Dispatch in the default configuration, audit trail and obs recording
    on: an admitted Read_word must cost the same on a fresh trail as on
-   one 100k records deep (at most 1.2x), and a stripped-gate refusal no
-   more than 1.1x the admitted call.  Trials alternate between the two
-   sides of each ratio; each ratio is of medians. *)
+   one 100k records deep (at most 1.2x), a stripped-gate refusal no
+   more than 1.1x the admitted call, and metering no more than 1.3x the
+   same call with obs off.  Trials alternate between the two sides of
+   each ratio; each ratio is of medians. *)
 
 let dispatch_fixture () =
   let open Multics_kernel in
@@ -732,10 +736,20 @@ let smoke_dispatch () =
   let refusal_t = median (List.map fst refusal_pairs) in
   let grant_t = median (List.map snd refusal_pairs) in
   let refusal_ratio = refusal_t /. grant_t and max_refusal_ratio = 1.1 in
+  let _, metered_read, _ = dispatch_fixture () in
+  ignore (time_iters 1_000 metered_read);
+  let obs_pairs =
+    List.init trials (fun _ ->
+        let on = time_iters iters metered_read in
+        (on, Obs.with_disabled (fun () -> time_iters iters metered_read)))
+  in
+  let obs_on_t = median (List.map fst obs_pairs) in
+  let obs_off_t = median (List.map snd obs_pairs) in
+  let obs_ratio = obs_on_t /. obs_off_t and max_obs_ratio = 1.3 in
   Printf.printf
-    "bench smoke: [dispatch] admitted read_word %.1f ns at trail depth %d vs %.1f ns at depth %d (%.2fx, required <= %.1fx); stripped-gate refusal %.1f ns vs admitted %.1f ns (%.2fx, required <= %.1fx)\n"
+    "bench smoke: [dispatch] admitted read_word %.1f ns at trail depth %d vs %.1f ns at depth %d (%.2fx, required <= %.1fx); stripped-gate refusal %.1f ns vs admitted %.1f ns (%.2fx, required <= %.1fx); obs on %.1f ns vs off %.1f ns (%.2fx, required <= %.1fx)\n"
     (ns shallow_t) !shallow_depth (ns deep_t) deep_depth depth_ratio max_depth_ratio (ns refusal_t)
-    (ns grant_t) refusal_ratio max_refusal_ratio;
+    (ns grant_t) refusal_ratio max_refusal_ratio (ns obs_on_t) (ns obs_off_t) obs_ratio max_obs_ratio;
   if depth_ratio > max_depth_ratio then begin
     print_endline "bench smoke: FAIL — admitted dispatch grows with the audit trail";
     exit 1
@@ -744,11 +758,16 @@ let smoke_dispatch () =
     print_endline "bench smoke: FAIL — a stripped-gate refusal costs more than a grant";
     exit 1
   end;
+  if obs_ratio > max_obs_ratio then begin
+    print_endline "bench smoke: FAIL — metering taxes the admitted call";
+    exit 1
+  end;
   append_record ~bench:"dispatch"
     (Printf.sprintf
-       {|"trials": %d, "iters": %d, "shallow_depth": %d, "deep_depth": %d, "admitted_shallow_ns": %.2f, "admitted_deep_ns": %.2f, "depth_ratio": %.3f, "max_depth_ratio": %.2f, "stripped_refusal_ns": %.2f, "admitted_ns": %.2f, "refusal_ratio": %.3f, "max_refusal_ratio": %.2f|}
+       {|"trials": %d, "iters": %d, "shallow_depth": %d, "deep_depth": %d, "admitted_shallow_ns": %.2f, "admitted_deep_ns": %.2f, "depth_ratio": %.3f, "max_depth_ratio": %.2f, "stripped_refusal_ns": %.2f, "admitted_ns": %.2f, "refusal_ratio": %.3f, "max_refusal_ratio": %.2f, "obs_on_ns": %.2f, "obs_off_ns": %.2f, "obs_ratio": %.3f, "max_obs_ratio": %.2f|}
        trials iters !shallow_depth deep_depth (ns shallow_t) (ns deep_t) depth_ratio
-       max_depth_ratio (ns refusal_t) (ns grant_t) refusal_ratio max_refusal_ratio)
+       max_depth_ratio (ns refusal_t) (ns grant_t) refusal_ratio max_refusal_ratio (ns obs_on_t)
+       (ns obs_off_t) obs_ratio max_obs_ratio)
 
 let smoke () =
   let iters = 300_000 and trials = 5 in

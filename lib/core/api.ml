@@ -21,9 +21,9 @@
    4. the body applies the reference monitor (ACL x lattice at
       descriptor construction, SDW checks at reference).
 
-   The wrapper then writes exactly one audit record and one set of
-   observability counters (per-gate call/refusal counts, mediation
-   cycles, audit-trail depth), whatever the outcome.
+   The wrapper then writes exactly one audit record and one tick of
+   the domain's gate-call tally (the operation's call, its refusal if
+   refused, the configuration's call), whatever the outcome.
 
    Content references ([read_word]/[write_word]) deliberately check
    the SDW installed at initiate time rather than re-deriving policy,
@@ -116,39 +116,25 @@ type process_info = {
   info_login_ring : int;
 }
 
-(* ----- Observability: the gate-dispatch choke point ----- *)
-
-let obs_gate_calls = Obs.Local.counter "gate.calls"
-let obs_gate_refusals = Obs.Local.counter "gate.refusals"
-let obs_gate_cycles = Obs.Local.counter "gate.cycles"
-let obs_audit_depth = Obs.Local.counter "audit.depth"
-let obs_dispatch_span = Obs.Local.span "gate.dispatch"
-
 (* An operation a call is mediated under: its name, whether it is a
    supervisor gate (checked against the catalog, the mask and the ring
    bracket; its dense id is [None] for a name no catalog has) or a
    hardware gate call / operator action (the body alone decides), and
-   its [gate.<name>.*] counter handles. *)
+   its dense op id, which indexes the gate-call tally. *)
 type kind = Supervisor of Gate.id option | Hardware
 
-type op = {
-  op_name : string;
-  op_kind : kind;
-  op_calls : Obs.Counter.t Obs.Local.handle;
-  op_refusals : Obs.Counter.t Obs.Local.handle;
-}
+type op = { op_name : string; op_kind : kind; op_id : int }
 
 (* Every operation dispatch can mediate under, made once at module
-   initialisation: a call resolves its operation and its counters with
-   no string building and no registry lookup. *)
+   initialisation: a call resolves its operation and its tally slots
+   with no string building and no registry lookup. *)
 module Op = struct
+  let names = ref [] (* newest first; its length is the next op id *)
+
   let make op_kind name =
-    {
-      op_name = name;
-      op_kind;
-      op_calls = Obs.Local.counter ("gate." ^ name ^ ".calls");
-      op_refusals = Obs.Local.counter ("gate." ^ name ^ ".refusals");
-    }
+    let op_id = List.length !names in
+    names := name :: !names;
+    { op_name = name; op_kind; op_id }
 
   let gate name = make (Supervisor (Gate.id name)) name
   let action name = make Hardware name
@@ -212,38 +198,67 @@ module Op = struct
   and list_processes = login "list_processes" and operator_message = login "operator_message"
 end
 
-(* One record per mediated call, written after the audit record so the
-   audit-depth gauge includes it.  Mediation cycles are charged at the
-   configured processor's cross-ring round-trip price — the same
-   accounting {!Session} applies, so snapshot totals and the E13 table
-   agree. *)
-let meter system op ~refused =
-  if Obs.enabled () then begin
-    let cycles = Cost.round_trip_call_cost (System.cost system) ~cross_ring:true in
-    Obs.Counter.incr (obs_gate_calls ());
-    Obs.Counter.incr ~by:cycles (obs_gate_cycles ());
-    Obs.Span.record (obs_dispatch_span ()) ~cycles;
-    Obs.Counter.incr (op.op_calls ());
-    let config = System.gate_meters system in
-    Obs.Counter.incr (config.Gate.config_calls ());
-    Obs.Counter.incr ~by:cycles (config.Gate.config_cycles ());
-    if refused then begin
-      Obs.Counter.incr (obs_gate_refusals ());
-      Obs.Counter.incr (op.op_refusals ())
-    end;
-    Obs.Counter.set (obs_audit_depth ()) (Audit_log.length (System.audit system))
-  end
+(* ----- Metering: one gate-call tally per domain -----
 
-(* The end of every call: one audit record (the error itself is
-   stored, and rendered only when the trail is read), then one meter
-   tick. *)
+   Each mediated call is counted once: at [2 * op_id], at
+   [2 * op_id + 1] if refused, and at [config_base] + its
+   configuration's id.  Every [gate.*] and [config.<name>.gate.*]
+   reading is derived from the array at capture (rows of one name sum),
+   cycles priced at the configuration's cross-ring round trip — the
+   accounting {!Session} applies, so snapshots and the E13 table agree. *)
+
+let op_rows =
+  List.rev_map (fun name -> ("gate." ^ name ^ ".calls", "gate." ^ name ^ ".refusals")) !Op.names
+
+let config_base = 2 * List.length op_rows
+
+type tally = { mutable counts : int array }
+
+let readings t =
+  let count i = if i < Array.length t.counts then t.counts.(i) else 0 in
+  let per_op id (calls, refusals) =
+    let c = count (2 * id) and r = count ((2 * id) + 1) in
+    [ (calls, c); ("gate.calls", c); (refusals, r); ("gate.refusals", r) ]
+  and per_config (id, name, price) =
+    let c = count (config_base + (id : Gate.config_id :> int)) in
+    let cycles = c * price in
+    [
+      ("config." ^ name ^ ".gate.calls", c);
+      ("config." ^ name ^ ".gate.cycles", cycles);
+      ("gate.cycles", cycles);
+    ]
+  in
+  List.concat (List.mapi per_op op_rows) @ List.concat_map per_config (Gate.priced_configs ())
+  |> List.filter (fun (_, n) -> n > 0)
+
+let tally =
+  Obs.Local.derived
+    (fun () -> { counts = Array.make (config_base + 8) 0 })
+    ~read:readings
+    ~reset:(fun t -> Array.fill t.counts 0 (Array.length t.counts) 0)
+
+let count_call system op ~refused =
+  let t = tally () in
+  let c = config_base + (System.config_id system :> int) in
+  if c >= Array.length t.counts then begin
+    let grown = Array.make (2 * c) 0 in
+    Array.blit t.counts 0 grown 0 (Array.length t.counts);
+    t.counts <- grown
+  end;
+  let counts = t.counts and i = 2 * op.op_id in
+  counts.(i) <- counts.(i) + 1;
+  if refused then counts.(i + 1) <- counts.(i + 1) + 1;
+  counts.(c) <- counts.(c) + 1
+
+(* The end of every call: one audit record (the error itself stored,
+   rendered only when the trail is read), then one tally tick. *)
 let settle system op at ~subject result =
   Audit_log.log ~at (System.audit system) ~subject ~operation:op.op_name
     ~verdict:
       (match result with
       | Ok _ -> Audit_log.Granted
       | Error e -> Audit_log.Refused_by (error_to_string, e));
-  meter system op ~refused:(Result.is_error result);
+  if Obs.enabled () then count_call system op ~refused:(Result.is_error result);
   result
 
 (* The subject a call from an unknown process handle is audited under:

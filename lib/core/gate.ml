@@ -214,27 +214,29 @@ let count_by_subsystem config =
         List.length (List.filter (fun e -> e.subsystem = subsystem) (catalog config)) ))
     (subsystems config)
 
-(* ----- Per-configuration tallies -----
+(* ----- Metered configurations -----
 
-   The [config.<name>.gate.calls] and [.gate.cycles] counters, as
-   domain-local handles made once per configuration name (a boot looks
-   them up; a gate call does not). *)
+   A dense id per configuration name and gate-call price, interned at
+   boot, so the gate-call tally counts calls per configuration in an
+   int array and prices them when read. *)
 
-type meters = {
-  config_calls : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
-  config_cycles : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
-}
+type config_id = int
 
-let meters_by_name : (string, meters) Hashtbl.t = Hashtbl.create 16
-let meters_lock = Mutex.create ()
+let config_ids : (string * int, config_id) Hashtbl.t = Hashtbl.create 16
+let config_lock = Mutex.create ()
 
-let meters (config : Config.t) =
-  let name = config.Config.name in
-  Mutex.protect meters_lock (fun () ->
-      match Hashtbl.find_opt meters_by_name name with
-      | Some m -> m
+let config_id (config : Config.t) =
+  let key =
+    (config.Config.name, Cost.round_trip_call_cost (Config.cost config) ~cross_ring:true)
+  in
+  Mutex.protect config_lock (fun () ->
+      match Hashtbl.find_opt config_ids key with
+      | Some id -> id
       | None ->
-          let counter what = Multics_obs.Obs.Local.counter ("config." ^ name ^ ".gate." ^ what) in
-          let m = { config_calls = counter "calls"; config_cycles = counter "cycles" } in
-          Hashtbl.replace meters_by_name name m;
-          m)
+          let id = Hashtbl.length config_ids in
+          Hashtbl.add config_ids key id;
+          id)
+
+let priced_configs () =
+  Mutex.protect config_lock (fun () ->
+      Hashtbl.fold (fun (name, cycles) id acc -> (id, name, cycles) :: acc) config_ids [])

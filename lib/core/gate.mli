@@ -55,14 +55,14 @@ val table : Config.t -> table
 val lookup : table -> id -> entry option
 (** An array load; allocates nothing. *)
 
-(** {1 Per-configuration tallies} *)
+(** {1 Metered configurations} *)
 
-type meters = {
-  config_calls : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
-      (** [config.<name>.gate.calls] *)
-  config_cycles : Multics_obs.Obs.Counter.t Multics_obs.Obs.Local.handle;
-      (** [config.<name>.gate.cycles] *)
-}
+type config_id = private int
 
-val meters : Config.t -> meters
-(** The handles for the configuration's name, made once per name. *)
+val config_id : Config.t -> config_id
+(** A dense id per configuration name and gate-call price, interned on
+    first use: a boot looks it up, a gate call carries it. *)
+
+val priced_configs : unit -> (config_id * string * int) list
+(** Every interned id, with its configuration's name and the cycles one
+    gate call costs under it (the cross-ring round-trip price). *)

@@ -122,7 +122,7 @@ type t = {
       (** the installed specialisation, if any; consulted by the gate
           check so a stripped gate refuses before any kernel state is
           touched *)
-  gate_meters : Gate.meters;  (** this configuration's gate tallies *)
+  config_id : Gate.config_id;  (** what this kernel's gate calls are tallied under *)
 }
 
 (* The traffic controller registers itself through a neutral record of
@@ -158,7 +158,7 @@ let udd_dir t = t.udd_dir
 let pdd_dir t = t.pdd_dir
 let io_buffers t = t.io_buffers
 let clock t = t.clock
-let gate_meters t = t.gate_meters
+let config_id t = t.config_id
 
 (* ----- Fault injection and the crash journal ----- *)
 
@@ -251,7 +251,7 @@ let create config =
       scheduler = None;
       plant = None;
       gate_mask = None;
-      gate_meters = Gate.meters config;
+      config_id = Gate.config_id config;
     }
   in
   let sys_acl = Acl.of_strings [ ("Initializer.*.*", "rew"); ("*.*.*", "r") ] in

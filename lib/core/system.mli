@@ -137,8 +137,8 @@ val gate_admitted : t -> gate:string -> bool
 val gate_admitted_id : t -> Gate.id -> bool
 (** {!gate_admitted} by dense id: one bit test. *)
 
-val gate_meters : t -> Gate.meters
-(** The configuration's [config.<name>.gate.*] counter handles. *)
+val config_id : t -> Gate.config_id
+(** The interned id this kernel's gate calls are tallied under. *)
 
 type journal_entry = {
   time : int;

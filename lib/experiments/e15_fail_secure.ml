@@ -428,7 +428,7 @@ let vm_table outcomes =
   t
 
 let obs_counts () =
-  let get name = Obs.Counter.get (Obs.Registry.counter (Obs.Registry.global ()) name) in
+  let get = Obs.Snapshot.counter (Obs.Snapshot.capture ()) in
   [
     ("fault.checks", get "fault.checks");
     ("fault.injected", get "fault.injected");

@@ -90,7 +90,7 @@ let run_sweep_point ~cost cpus =
   let r = Workload.run (sweep_spec ~cost ~cpus) in
   let after = Obs.Snapshot.capture () in
   let d = Obs.Snapshot.diff ~before ~after in
-  let counter name = try List.assoc name d.Obs.Snapshot.counters with Not_found -> 0 in
+  let counter = Obs.Snapshot.counter d in
   let connects, connect_mean =
     match List.assoc_opt "smp.connect.cycles" d.Obs.Snapshot.histograms with
     | Some h when h.Obs.Snapshot.count > 0 ->

@@ -259,7 +259,7 @@ let run_probes spec =
   in
   let after = Obs.Snapshot.capture () in
   let d = Obs.Snapshot.diff ~before ~after in
-  let counter name = try List.assoc name d.Obs.Snapshot.counters with Not_found -> 0 in
+  let counter = Obs.Snapshot.counter d in
   let calls = counter "gate.calls" and cycles = counter "gate.cycles" in
   let cost = if calls = 0 then 0.0 else float_of_int cycles /. float_of_int calls in
   (passed, cost)

@@ -52,7 +52,6 @@ module Histogram = struct
   let bucket_count = 62
 
   type t = {
-    name : string;
     buckets : int array;
     mutable count : int;
     mutable sum : int;
@@ -61,9 +60,8 @@ module Histogram = struct
     mutable saturated : bool;
   }
 
-  let make name =
+  let make () =
     {
-      name;
       buckets = Array.make bucket_count 0;
       count = 0;
       sum = 0;
@@ -71,8 +69,6 @@ module Histogram = struct
       max_value = 0;
       saturated = false;
     }
-
-  let name h = h.name
 
   let bucket_index v =
     if v <= 1 then 0
@@ -153,16 +149,13 @@ end
 
 module Span = struct
   type t = {
-    name : string;
     cycles : Histogram.t;
     mutable entries : int;
     mutable live : int;
     mutable max_depth : int;
   }
 
-  let make name = { name; cycles = Histogram.make name; entries = 0; live = 0; max_depth = 0 }
-
-  let name s = s.name
+  let make () = { cycles = Histogram.make (); entries = 0; live = 0; max_depth = 0 }
 
   let enter s =
     if enabled () then begin
@@ -200,11 +193,15 @@ end
 (* ----- Registries ----- *)
 
 module Registry = struct
+  (* A module's own tally, read into counter rows at capture. *)
+  type source = { read : unit -> (string * int) list; clear : unit -> unit }
+
   type t = {
     name : string;
     counters : (string, Counter.t) Hashtbl.t;
     histograms : (string, Histogram.t) Hashtbl.t;
     spans : (string, Span.t) Hashtbl.t;
+    mutable sources : source list;
   }
 
   let create ~name =
@@ -213,6 +210,7 @@ module Registry = struct
       counters = Hashtbl.create 64;
       histograms = Hashtbl.create 16;
       spans = Hashtbl.create 16;
+      sources = [];
     }
 
   let name t = t.name
@@ -233,19 +231,32 @@ module Registry = struct
         v
 
   let counter t key = memo t.counters Counter.make key
-  let histogram t key = memo t.histograms Histogram.make key
-  let span t key = memo t.spans Span.make key
+  let histogram t key = memo t.histograms (fun _ -> Histogram.make ()) key
+  let span t key = memo t.spans (fun _ -> Span.make ()) key
 
   let sorted_bindings table value =
     Hashtbl.fold (fun k v acc -> (k, value v) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let counters t = sorted_bindings t.counters Counter.get
+  (* Pushed counters and every source's rows, sorted by name; rows of
+     one name (say, an absorbed worker reading and this domain's own)
+     add up to one row. *)
+  let counters t =
+    let rec coalesce = function
+      | (a, x) :: (b, y) :: rest when String.equal a b -> coalesce ((a, x + y) :: rest)
+      | row :: rest -> row :: coalesce rest
+      | [] -> []
+    in
+    Hashtbl.fold (fun k c acc -> (k, Counter.get c) :: acc) t.counters []
+    |> List.rev_append (List.concat_map (fun s -> s.read ()) t.sources)
+    |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+    |> coalesce
 
   let reset t =
     Hashtbl.iter (fun _ c -> Counter.reset c) t.counters;
     Hashtbl.iter (fun _ h -> Histogram.reset h) t.histograms;
-    Hashtbl.iter (fun _ s -> Span.reset s) t.spans
+    Hashtbl.iter (fun _ s -> Span.reset s) t.spans;
+    List.iter (fun s -> s.clear ()) t.sources
 end
 
 (* ----- Domain-local instrument handles ----- *)
@@ -260,17 +271,21 @@ end
 module Local = struct
   type 'a handle = unit -> 'a
 
-  let counter name : Counter.t handle =
-    let key = Domain.DLS.new_key (fun () -> Registry.counter (Registry.global ()) name) in
+  let per_domain make : 'a handle =
+    let key = Domain.DLS.new_key make in
     fun () -> Domain.DLS.get key
 
-  let histogram name : Histogram.t handle =
-    let key = Domain.DLS.new_key (fun () -> Registry.histogram (Registry.global ()) name) in
-    fun () -> Domain.DLS.get key
+  let counter name = per_domain (fun () -> Registry.counter (Registry.global ()) name)
+  let histogram name = per_domain (fun () -> Registry.histogram (Registry.global ()) name)
+  let span name = per_domain (fun () -> Registry.span (Registry.global ()) name)
 
-  let span name : Span.t handle =
-    let key = Domain.DLS.new_key (fun () -> Registry.span (Registry.global ()) name) in
-    fun () -> Domain.DLS.get key
+  let derived make ~read ~reset =
+    per_domain (fun () ->
+        let state = make () and registry = Registry.global () in
+        registry.Registry.sources <-
+          { Registry.read = (fun () -> read state); clear = (fun () -> reset state) }
+          :: registry.Registry.sources;
+        state)
 end
 
 (* ----- Snapshots ----- *)
@@ -304,6 +319,8 @@ module Snapshot = struct
       buckets = Histogram.buckets h;
     }
 
+  let counter t name = Option.value ~default:0 (List.assoc_opt name t.counters)
+
   let capture ?registry () =
     let registry = match registry with Some r -> r | None -> Registry.global () in
     {
@@ -322,12 +339,17 @@ module Snapshot = struct
 
   (* ----- Differencing ----- *)
 
-  let diff_alist ~zero ~sub before after =
-    List.map
-      (fun (key, a) ->
-        let b = match List.assoc_opt key before with Some b -> b | None -> zero in
-        (key, sub a b))
-      after
+  (* One walk of two lists sorted by key: every [after] key, less its
+     [before] reading (or [zero]). *)
+  let rec diff_alist ~zero ~sub before after =
+    match (before, after) with
+    | _, [] -> []
+    | [], (ka, a) :: ta -> (ka, sub a zero) :: diff_alist ~zero ~sub [] ta
+    | (kb, b) :: tb, (ka, a) :: ta ->
+        let c = compare kb ka in
+        if c < 0 then diff_alist ~zero ~sub tb after
+        else if c = 0 then (ka, sub a b) :: diff_alist ~zero ~sub tb ta
+        else (ka, sub a zero) :: diff_alist ~zero ~sub before ta
 
   let diff_buckets before after =
     List.filter
@@ -377,55 +399,6 @@ module Snapshot = struct
     List.for_all (fun (_, v) -> v = 0) t.counters
     && List.for_all (fun (_, h) -> h.count = 0) t.histograms
     && List.for_all (fun (_, s) -> s.entries = 0) t.spans
-
-  (* ----- Merging (the parallel-harness join path) ----- *)
-
-  (* Union-add of two sorted assoc lists; keys present on one side only
-     pass through unchanged. *)
-  let rec merge_alist ~add a b =
-    match (a, b) with
-    | [], rest | rest, [] -> rest
-    | (ka, va) :: ta, (kb, vb) :: tb ->
-        let c = compare ka kb in
-        if c = 0 then (ka, add va vb) :: merge_alist ~add ta tb
-        else if c < 0 then (ka, va) :: merge_alist ~add ta b
-        else (kb, vb) :: merge_alist ~add a tb
-
-  (* Histogram sums saturate on merge exactly as they do on observe:
-     if either side already hit the ceiling, or the addition would, the
-     merged sum is pinned at [max_int] with [saturated] set.  In
-     particular merging two saturated snapshots stays saturated — a
-     naive [a.sum + b.sum] would wrap negative and drop the flag. *)
-  let merge_histogram_data a b =
-    if a.count = 0 then b
-    else if b.count = 0 then a
-    else begin
-      let saturated = a.saturated || b.saturated || a.sum > max_int - b.sum in
-      {
-        count = a.count + b.count;
-        sum = (if saturated then max_int else a.sum + b.sum);
-        min_value = min a.min_value b.min_value;
-        max_value = max a.max_value b.max_value;
-        saturated;
-        buckets = merge_alist ~add:( + ) a.buckets b.buckets;
-      }
-    end
-
-  let merge_span_data a b =
-    {
-      entries = a.entries + b.entries;
-      live = a.live + b.live;
-      max_depth = max a.max_depth b.max_depth;
-      span_cycles = merge_histogram_data a.span_cycles b.span_cycles;
-    }
-
-  let merge a b =
-    {
-      registry = a.registry;
-      counters = merge_alist ~add:( + ) a.counters b.counters;
-      histograms = merge_alist ~add:merge_histogram_data a.histograms b.histograms;
-      spans = merge_alist ~add:merge_span_data a.spans b.spans;
-    }
 
   (* Add a snapshot's totals into live instruments — how a parallel
      join folds each worker task's private recordings back into the

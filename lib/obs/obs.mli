@@ -12,7 +12,11 @@
     {!Snapshot} back into the caller with {!Snapshot.absorb}.
     Instrumented modules obtain their instruments through {!Local}
     handles; a {!Snapshot} captures a registry at a point in time for
-    rendering, differencing or merging. *)
+    rendering, differencing or absorbing.  A module that keeps its own
+    tally contributes {!Local.derived} counter rows, read only at
+    capture (the gate-call tallies, [gate.*] and [config.<name>.gate.*],
+    are one int array per domain); read those from a capture
+    ({!Snapshot.counter}), not through {!Registry.counter}. *)
 
 val enabled : unit -> bool
 (** Whether recording primitives currently have any effect in this
@@ -45,7 +49,6 @@ end
 module Histogram : sig
   type t
 
-  val name : t -> string
   val observe : t -> int -> unit
   val count : t -> int
 
@@ -84,8 +87,6 @@ end
 module Span : sig
   type t
 
-  val name : t -> string
-
   val enter : t -> unit
   val leave : t -> cycles:int -> unit
   (** [leave] records one completed activation of [cycles]. *)
@@ -122,10 +123,12 @@ module Registry : sig
   val span : t -> string -> Span.t
 
   val counters : t -> (string * int) list
-  (** Current counter readings, sorted by name. *)
+  (** Current counter readings, sorted by name: the pushed counters and
+      the rows of every derived source, rows of one name summed. *)
 
   val reset : t -> unit
-  (** Zero every instrument (they remain registered). *)
+  (** Zero every instrument (they remain registered) and every derived
+      source. *)
 end
 
 (** {1 Domain-local instrument handles}
@@ -143,6 +146,13 @@ module Local : sig
   val counter : string -> Counter.t handle
   val histogram : string -> Histogram.t handle
   val span : string -> Span.t handle
+
+  val derived :
+    (unit -> 'a) -> read:('a -> (string * int) list) -> reset:('a -> unit) -> 'a handle
+  (** A module's own per-domain tally, made on first use in a domain and
+      registered with that domain's default registry: capture lists
+      [read]'s rows (rows of one name, pushed ones included, are
+      summed) and {!Registry.reset} calls [reset]. *)
 end
 
 (** {1 Snapshots} *)
@@ -171,6 +181,9 @@ module Snapshot : sig
     spans : (string * span_data) list;
   }
 
+  val counter : t -> string -> int
+  (** A counter's reading; 0 when absent. *)
+
   val capture : ?registry:Registry.t -> unit -> t
   (** Default registry: the calling domain's [Registry.global ()]. *)
 
@@ -179,16 +192,11 @@ module Snapshot : sig
       from [before] are taken as zero.  Used to attribute activity to a
       bounded phase (one experiment, one command). *)
 
-  val merge : t -> t -> t
-  (** Instrument-wise sum of two snapshots: counters and histogram
-      bucket counts add, span depths take the max, histogram sums
-      saturate at [max_int] exactly as live observation does — merging
-      two saturated snapshots stays saturated (never wraps).  Keyed
-      union: instruments present on one side only pass through. *)
-
   val absorb : ?into:Registry.t -> t -> unit
-  (** Add a snapshot's totals into live instruments (created on demand).
-      This is the parallel join path: each worker task's private
+  (** Add a snapshot's totals into live instruments (created on demand):
+      counters and histogram buckets add, span depths take the max, and
+      histogram sums saturate at [max_int] exactly as live observation
+      does.  This is the parallel join path: each worker task's private
       recordings are folded back into the caller's registry in task
       order, so merged totals match a sequential run.  Bypasses the
       {!enabled} gate — the activity was already recorded once under the

@@ -15,12 +15,14 @@
    and a QCheck property over hostile streams of every request
    constructor from live, unknown and logged-out callers: whatever the
    ints and names, [dispatch] never raises, writes exactly one audit
-   record of the call and one [gate.calls] tick, and leaves the quota
-   invariant holding.  After every call, refusals included, the
-   compiled AV table agrees with fresh policy for every segment any
-   live process knows, so the generated ACL, bracket, delete, salvage
-   and cache-clear streams exercise the one revocation path: the
-   per-object epochs. *)
+   record of the call, moves the gate-call tallies exactly as that
+   record says (one call of its operation and of its configuration, a
+   refusal exactly when it is one, the configuration's price in
+   cycles), and leaves the quota invariant holding.  After every call,
+   refusals included, the compiled AV table agrees with fresh policy
+   for every segment any live process knows, so the generated ACL,
+   bracket, delete, salvage and cache-clear streams exercise the one
+   revocation path: the per-object epochs. *)
 
 open Multics_access
 open Multics_kernel
@@ -100,22 +102,44 @@ let test_max_int_write () =
 
 (* ----- Calls that used to bypass the audit ----- *)
 
-let gate_calls () = Obs.Counter.get (Obs.Registry.counter (Obs.Registry.global ()) "gate.calls")
-
-(* Dispatch one request and return its response with the records and
-   [gate.calls] ticks it added. *)
+(* Dispatch one request and return its response with the records it
+   added and the counters it moved. *)
 let traced system ~handle request =
   let audit = System.audit system in
-  let logged = Audit_log.logged audit and calls = gate_calls () in
+  let logged = Audit_log.logged audit and before = Obs.Snapshot.capture () in
   let response = Api.Call.dispatch system ~handle request in
-  (response, Audit_log.tail audit (Audit_log.logged audit - logged), gate_calls () - calls)
+  let moved = Obs.Snapshot.diff ~before ~after:(Obs.Snapshot.capture ()) in
+  (response, Audit_log.tail audit (Audit_log.logged audit - logged), moved)
 
-let expect_one_record what ~subject ~ring ~operation ~target ~cause (response, records, calls) =
+let gate_calls moved = Obs.Snapshot.counter moved "gate.calls"
+
+(* The gate-call tallies one call moved agree with its audit record:
+   one call of its operation and of the configuration, a refusal of
+   both exactly when the record is one, and the configuration's
+   cross-ring round-trip price in cycles. *)
+let tallies_match system (call : Audit_log.record) moved =
+  let config = System.config system and n = Obs.Snapshot.counter moved in
+  let refused = match call.verdict with Audit_log.Granted -> 0 | _ -> 1 in
+  n "gate.calls" = 1
+  && n ("gate." ^ call.operation ^ ".calls") = 1
+  && n ("gate." ^ call.operation ^ ".refusals") = refused
+  && n "gate.refusals" = refused
+  && n ("config." ^ config.Config.name ^ ".gate.calls") = 1
+  && n "gate.cycles"
+     = Multics_machine.Cost.round_trip_call_cost (Config.cost config) ~cross_ring:true
+
+let show_moved moved =
+  List.filter_map
+    (fun (name, n) -> if n = 0 then None else Some (Printf.sprintf "%s=%d" name n))
+    moved.Obs.Snapshot.counters
+  |> String.concat " "
+
+let expect_one_record what ~subject ~ring ~operation ~target ~cause (response, records, moved) =
   (match response with
   | Error e when e = cause -> ()
   | Error e -> Alcotest.failf "%s: refused with %s" what (Api.error_to_string e)
   | Ok _ -> Alcotest.failf "%s: admitted" what);
-  Alcotest.(check int) (what ^ ": gate.calls") 1 calls;
+  Alcotest.(check int) (what ^ ": gate.calls") 1 (gate_calls moved);
   match records with
   | [ r ] ->
       Alcotest.(check (list string))
@@ -165,10 +189,11 @@ let test_empty_path_refuses () =
     (fun request ->
       let name = Api.Call.operation_name system request in
       match traced system ~handle:alice request with
-      | Error _, [ _ ], 1 -> ()
+      | Error _, [ _ ], moved when gate_calls moved = 1 -> ()
       | Ok _, _, _ -> Alcotest.failf "%s of \"\" admitted" name
-      | Error _, records, calls ->
-          Alcotest.failf "%s of \"\": %d records, %d gate.calls" name (List.length records) calls)
+      | Error _, records, moved ->
+          Alcotest.failf "%s of \"\": %d records, %d gate.calls" name (List.length records)
+            (gate_calls moved))
     [
       Api.Call.Delete_by_path { path = "" };
       Api.Call.Create_segment_by_path { path = ""; acl; label; brackets = None };
@@ -427,18 +452,21 @@ let run_case (config, steps) =
       match traced system ~handle request with
       | exception e ->
           QCheck.Test.fail_reportf "%s from %d raised %s" name handle (Printexc.to_string e)
-      | _, records, calls ->
+      | _, records, moved ->
           let gone = List.filter (fun h -> System.proc system h = None) before in
           ended := gone @ !ended;
           if System.proc system !current = None then current := relogin ();
           let divergence = av_divergence system in
-          (call_record_ok ~request ~name ~subject ~ended:gone records && calls = 1
+          let tallied =
+            match List.rev records with call :: _ -> tallies_match system call moved | [] -> false
+          in
+          (call_record_ok ~request ~name ~subject ~ended:gone records && tallied
           && quota_holds system && divergence = None)
           || QCheck.Test.fail_reportf
-               "%s from %d (%s): records [%s], %d gate.calls, quota %b, AV parity: %s" name handle
+               "%s from %d (%s): records [%s], moved [%s], quota %b, AV parity: %s" name handle
                config.Config.name
                (String.concat "; " (List.map (Fmt.str "%a" Audit_log.pp_record) records))
-               calls (quota_holds system)
+               (show_moved moved) (quota_holds system)
                (Option.value divergence ~default:"holds"))
     steps
 

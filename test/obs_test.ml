@@ -130,12 +130,12 @@ let test_snapshot_text () =
     (contains ~needle:"no recorded activity"
        (Obs.Snapshot.to_text (Obs.Snapshot.capture ~registry:r ())));
   Obs.Counter.incr (Obs.Registry.counter r "gate.calls") ~by:21;
-  Obs.Span.record (Obs.Registry.span r "gate.dispatch") ~cycles:34;
+  Obs.Span.record (Obs.Registry.span r "io.wait") ~cycles:34;
   let text = Obs.Snapshot.to_text (Obs.Snapshot.capture ~registry:r ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("text mentions " ^ needle) true (contains ~needle text))
-    [ "gate.calls"; "21"; "gate.dispatch"; "counters"; "spans" ]
+    [ "gate.calls"; "21"; "io.wait"; "counters"; "spans" ]
 
 let test_snapshot_json () =
   let r = fresh "json" in
@@ -181,9 +181,17 @@ let test_histogram_sum_saturates () =
   Alcotest.(check bool) "reset clears the flag" false (Obs.Histogram.saturated h);
   Alcotest.(check int) "reset clears the sum" 0 (Obs.Histogram.sum h)
 
+(* Two snapshots absorbed into one fresh registry, captured: the
+   parallel join path. *)
+let merged a b =
+  let r = fresh "merged" in
+  Obs.Snapshot.absorb ~into:r a;
+  Obs.Snapshot.absorb ~into:r b;
+  Obs.Snapshot.capture ~registry:r ()
+
 let test_snapshot_merge () =
   (* Instrument-wise sum, keyed union: counters add, histogram buckets
-     add, span depths take the max.  This is the parallel join path. *)
+     add, span depths take the max. *)
   let ra = fresh "a" and rb = fresh "b" in
   Obs.Counter.incr (Obs.Registry.counter ra "shared") ~by:3;
   Obs.Counter.incr (Obs.Registry.counter ra "only_a") ~by:1;
@@ -198,11 +206,7 @@ let test_snapshot_merge () =
   Obs.Span.enter sb;
   Obs.Span.leave sb ~cycles:5;
   Obs.Span.leave sb ~cycles:5;
-  let m =
-    Obs.Snapshot.merge
-      (Obs.Snapshot.capture ~registry:ra ())
-      (Obs.Snapshot.capture ~registry:rb ())
-  in
+  let m = merged (Obs.Snapshot.capture ~registry:ra ()) (Obs.Snapshot.capture ~registry:rb ()) in
   let counter name = List.assoc name m.Obs.Snapshot.counters in
   Alcotest.(check int) "shared counters add" 7 (counter "shared");
   Alcotest.(check int) "a-only passes through" 1 (counter "only_a");
@@ -230,7 +234,7 @@ let test_snapshot_merge_saturation () =
     Alcotest.(check bool) (name ^ " operand saturated") true hd.Obs.Snapshot.saturated;
     snap
   in
-  let m = Obs.Snapshot.merge (saturated_snap "sat_a") (saturated_snap "sat_b") in
+  let m = merged (saturated_snap "sat_a") (saturated_snap "sat_b") in
   let h = List.assoc "cycles" m.Obs.Snapshot.histograms in
   Alcotest.(check bool) "saturated + saturated stays saturated" true h.Obs.Snapshot.saturated;
   Alcotest.(check int) "merged sum pinned at max_int" max_int h.Obs.Snapshot.sum;
@@ -241,7 +245,7 @@ let test_snapshot_merge_saturation () =
     Obs.Histogram.observe (Obs.Registry.histogram r "cycles") (max_int - 10);
     Obs.Snapshot.capture ~registry:r ()
   in
-  let m2 = Obs.Snapshot.merge (big "big_a") (big "big_b") in
+  let m2 = merged (big "big_a") (big "big_b") in
   let h2 = List.assoc "cycles" m2.Obs.Snapshot.histograms in
   Alcotest.(check bool) "overflow on merge saturates" true h2.Obs.Snapshot.saturated;
   Alcotest.(check int) "overflowing merge pinned" max_int h2.Obs.Snapshot.sum
@@ -277,6 +281,71 @@ let test_snapshot_absorb () =
   Alcotest.(check int) "max" wh.Obs.Snapshot.max_value gh.Obs.Snapshot.max_value;
   Alcotest.(check (list (pair int int))) "buckets" wh.Obs.Snapshot.buckets gh.Obs.Snapshot.buckets
 
+(* ----- Derived counters -----
+
+   A derived source attaches to its domain's default registry, so each
+   test runs in a fresh domain: its registry and its tally start empty. *)
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* A tally read as two rows: its own name, and one shared with a pushed
+   counter. *)
+let tally =
+  Obs.Local.derived (fun () -> ref 0)
+    ~read:(fun n -> [ ("test.tally", !n); ("test.shared", !n) ])
+    ~reset:(fun n -> n := 0)
+
+let bump by = tally () := !(tally ()) + by
+
+let rows name (snap : Obs.Snapshot.t) =
+  List.filter (fun (n, _) -> n = name) snap.Obs.Snapshot.counters
+
+let test_derived_capture_and_diff () =
+  in_fresh_domain (fun () ->
+      bump 2;
+      let before = Obs.Snapshot.capture () in
+      bump 3;
+      Obs.Counter.incr (Obs.Registry.counter (Obs.Registry.global ()) "test.shared") ~by:10;
+      let after = Obs.Snapshot.capture () in
+      Alcotest.(check (list (pair string int))) "capture reads the tally" [ ("test.tally", 5) ]
+        (rows "test.tally" after);
+      Alcotest.(check (list (pair string int)))
+        "a pushed counter of the same name: one row, summed" [ ("test.shared", 15) ]
+        (rows "test.shared" after);
+      Alcotest.(check (list (pair string int)))
+        "Registry.counters agrees with capture" after.Obs.Snapshot.counters
+        (Obs.Registry.counters (Obs.Registry.global ()));
+      let d = Obs.Snapshot.diff ~before ~after in
+      Alcotest.(check int) "diff attributes the delta" 3 (Obs.Snapshot.counter d "test.tally");
+      Alcotest.(check int) "diff of the shared row" 13 (Obs.Snapshot.counter d "test.shared");
+      Alcotest.(check bool) "rendered" true
+        (contains ~needle:"test.tally" (Obs.Snapshot.to_text after)))
+
+let test_derived_reset () =
+  in_fresh_domain (fun () ->
+      bump 7;
+      Obs.Registry.reset (Obs.Registry.global ());
+      Alcotest.(check int) "the tally itself is zeroed" 0 !(tally ());
+      Alcotest.(check int) "and reads as zero" 0
+        (Obs.Snapshot.counter (Obs.Snapshot.capture ()) "test.tally"))
+
+let test_derived_absorb () =
+  (* The lib/par join path: a worker domain's snapshot, derived rows
+     included, absorbed into a registry whose domain has a live tally
+     of its own. *)
+  let worker = in_fresh_domain (fun () -> bump 5; Obs.Snapshot.capture ()) in
+  in_fresh_domain (fun () ->
+      bump 2;
+      Obs.Snapshot.absorb worker;
+      let joined = Obs.Snapshot.capture () in
+      Alcotest.(check (list (pair string int))) "one row, the sum" [ ("test.tally", 7) ]
+        (rows "test.tally" joined);
+      Alcotest.(check (list (pair string int))) "capture is idempotent" [ ("test.tally", 7) ]
+        (rows "test.tally" (Obs.Snapshot.capture ()));
+      bump 1;
+      Alcotest.(check int) "later own activity adds once" 8
+        (Obs.Snapshot.counter (Obs.Snapshot.capture ()) "test.tally"))
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -293,4 +362,7 @@ let suite =
     Alcotest.test_case "snapshot merge" `Quick test_snapshot_merge;
     Alcotest.test_case "snapshot merge keeps saturation" `Quick test_snapshot_merge_saturation;
     Alcotest.test_case "snapshot absorb = sequential totals" `Quick test_snapshot_absorb;
+    Alcotest.test_case "derived counters in capture and diff" `Quick test_derived_capture_and_diff;
+    Alcotest.test_case "registry reset zeroes derived counters" `Quick test_derived_reset;
+    Alcotest.test_case "absorb beside a live derived source" `Quick test_derived_absorb;
   ]

@@ -30,14 +30,48 @@ let test_run_seeds () =
     (Par.run_seeds ~jobs:2 5 (fun seed -> seed * 10));
   Alcotest.(check (list int)) "zero seeds" [] (Par.run_seeds ~jobs:4 0 (fun s -> s))
 
+(* A booted kernel serving a few admitted and a few refused gate calls,
+   so the per-domain gate-call tally and the audit trail both move. *)
+let kernel_calls seed =
+  let open Multics_kernel in
+  let system = System.create Config.kernel_6180 in
+  ignore
+    (System.add_account system ~person:"Alice" ~project:"Dev" ~password:"pw"
+       ~clearance:Multics_access.Label.unclassified);
+  let handle =
+    match System.login system ~person:"Alice" ~project:"Dev" ~password:"pw" with
+    | Ok handle -> handle
+    | Error e -> Alcotest.fail (System.login_error_to_string e)
+  in
+  let segno =
+    match
+      User_env.create_segment_at system ~handle ~path:">udd>Dev>Alice>s"
+        ~acl:(Multics_access.Acl.of_strings [ ("Alice.Dev.*", "rw") ])
+        ~label:Multics_access.Label.unclassified
+    with
+    | Ok segno -> segno
+    | Error e -> Alcotest.fail (User_env.error_to_string e)
+  in
+  let call ~handle request = Result.is_ok (Api.Call.dispatch system ~handle request) in
+  for i = 0 to seed mod 3 do
+    if not (call ~handle (Api.Call.Write_word { segno; offset = i; value = seed })) then
+      Alcotest.fail "admitted write refused";
+    if call ~handle (Api.Call.Read_word { segno; offset = -1 - i }) then
+      Alcotest.fail "read before the segment admitted";
+    if call ~handle:12345 Api.Call.Proc_info then Alcotest.fail "unknown caller admitted"
+  done
+
 let test_obs_totals_match_sequential () =
-  (* Tasks record counters and histograms; the absorbed totals after a
-     4-domain run must equal the inline run's. *)
+  (* Tasks record counters and histograms, and boot kernels that make
+     gate calls; the absorbed totals after a 4-domain run — every
+     counter, the derived gate-call tallies included — must equal the
+     inline run's. *)
   let task seed =
     Obs.Counter.incr (Obs.Registry.counter (Obs.Registry.global ()) "par.test.ops") ~by:(seed + 1);
     Obs.Histogram.observe
       (Obs.Registry.histogram (Obs.Registry.global ()) "par.test.cycles")
       ((seed * 13) + 1);
+    kernel_calls seed;
     seed
   in
   let run jobs =
@@ -47,8 +81,9 @@ let test_obs_totals_match_sequential () =
     Obs.Snapshot.diff ~before ~after
   in
   let d1 = run 1 and d4 = run 4 in
-  let counter d = List.assoc "par.test.ops" d.Obs.Snapshot.counters in
-  Alcotest.(check int) "counter totals match" (counter d1) (counter d4);
+  let moved d = List.filter (fun (_, n) -> n <> 0) d.Obs.Snapshot.counters in
+  Alcotest.(check (list (pair string int))) "counter totals match" (moved d1) (moved d4);
+  Alcotest.(check bool) "the gate-call tally moved" true (Obs.Snapshot.counter d4 "gate.refusals" > 0);
   let hist d = List.assoc "par.test.cycles" d.Obs.Snapshot.histograms in
   let h1 = hist d1 and h4 = hist d4 in
   Alcotest.(check int) "histogram count" h1.Obs.Snapshot.count h4.Obs.Snapshot.count;
