@@ -769,6 +769,70 @@ let smoke_dispatch () =
        max_depth_ratio (ns refusal_t) (ns grant_t) refusal_ratio max_refusal_ratio (ns obs_on_t)
        (ns obs_off_t) obs_ratio max_obs_ratio)
 
+(* ----- The simulator's allocation gate (--smoke [sim]) -----
+
+   One timesharing round at a small population: the E17-shaped spec
+   (MLF controller, one CPU, audited gate calls on).  Minor-heap words
+   per simulator event is a count, not a timing: a warmed-up run
+   allocates exactly the same on every repeat, so the gate is an
+   absolute bound and the three repeats must agree to the word.  A
+   trace message formatted while tracing is off, a hashed pid lookup
+   or a string-keyed counter bump would each show up here.  The bound
+   is the figure this gate was introduced at (79.6 words/event) plus
+   10%; the simulator before it allocated 170.6. *)
+
+let sim_spec =
+  {
+    Multics_sched.Workload.default with
+    seed = 1;
+    users = 500;
+    interactions = 2;
+    think = 30_000;
+    service = 1_500;
+    working_set = 3;
+    passes = 2;
+    batch = 2;
+    daemons = 1;
+    gate_calls = true;
+    vps = 4;
+    cap = 0;
+    policy = Multics_sched.Workload.Use_mlf;
+    cpus = 1;
+    sites = 0;
+  }
+
+let sim_max_words_per_event = 87.6
+
+let smoke_sim () =
+  let module Workload = Multics_sched.Workload in
+  let measure () =
+    let before = Gc.minor_words () in
+    let r = Workload.run sim_spec in
+    (r.Workload.r_events, Gc.minor_words () -. before)
+  in
+  ignore (measure ());
+  let runs = List.init 3 (fun _ -> measure ()) in
+  let events, words = List.hd runs in
+  let repeats = List.for_all (fun run -> run = (events, words)) runs in
+  let per_event = words /. float_of_int events in
+  Printf.printf
+    "bench smoke: [sim] %d users: %d simulator events, %.0f minor words (%.1f words/event, required <= %.1f); %s across %d runs\n"
+    sim_spec.Workload.users events words per_event sim_max_words_per_event
+    (if repeats then "identical" else "DIFFERENT")
+    (List.length runs);
+  if not repeats then begin
+    print_endline "bench smoke: FAIL — simulator allocation is not repeatable";
+    exit 1
+  end;
+  if per_event > sim_max_words_per_event then begin
+    print_endline "bench smoke: FAIL — the simulator hot path allocates more per event";
+    exit 1
+  end;
+  append_record ~bench:"sim"
+    (Printf.sprintf
+       {|"users": %d, "runs": %d, "events": %d, "minor_words": %.0f, "words_per_event": %.2f, "max_words_per_event": %.1f|}
+       sim_spec.Workload.users (List.length runs) events words per_event sim_max_words_per_event)
+
 let smoke () =
   let iters = 300_000 and trials = 5 in
   let check () =
@@ -1038,6 +1102,7 @@ let smoke () =
        (Spec.Specialisation.gate_count spec)
        (Spec.Specialisation.full_count spec));
   smoke_dispatch ();
+  smoke_sim ();
   print_endline "bench smoke: OK"
 
 let () =

@@ -29,13 +29,15 @@ let pp ppf t = Fmt.pf ppf "sid:%d" t
    delete, because a SID that could be reused would let a stale table
    row describe a different principal. *)
 module Map = struct
+  module Index = Hashtbl.Make (Int)
+
   type 'a t = {
     hash : 'a -> int;
     equal : 'a -> 'a -> bool;
     (* Buckets keyed by the caller's hash; collisions split by the
        caller's equality, so a lossy hash costs probes, never identity
        confusion. *)
-    index : (int, ('a * int) list) Hashtbl.t;
+    index : ('a * int) list Index.t;
     mutable values : 'a option array;  (** sid -> canonical value *)
     mutable count : int;
   }
@@ -44,7 +46,7 @@ module Map = struct
     {
       hash;
       equal;
-      index = Hashtbl.create (max 16 initial);
+      index = Index.create (max 16 initial);
       values = Array.make (max 16 initial) None;
       count = 0;
     }
@@ -58,22 +60,31 @@ module Map = struct
       t.values <- grown
     end
 
+  let bucket t h = match Index.find_opt t.index h with Some b -> b | None -> []
+
+  (* The SID of [v] in a bucket, or -1: a direct walk, so a lookup
+     allocates no closure and no option. *)
+  let rec sid_in equal v = function
+    | [] -> -1
+    | (k, sid) :: rest -> if equal k v then sid else sid_in equal v rest
+
   let find t v =
-    let bucket = Option.value (Hashtbl.find_opt t.index (t.hash v)) ~default:[] in
-    Option.map snd (List.find_opt (fun (k, _) -> t.equal k v) bucket)
+    let sid = sid_in t.equal v (bucket t (t.hash v)) in
+    if sid < 0 then None else Some sid
 
   let intern t v =
     let h = t.hash v in
-    let bucket = Option.value (Hashtbl.find_opt t.index h) ~default:[] in
-    match List.find_opt (fun (k, _) -> t.equal k v) bucket with
-    | Some (_, sid) -> sid
-    | None ->
-        let sid = t.count in
-        ensure t (sid + 1);
-        t.values.(sid) <- Some v;
-        t.count <- sid + 1;
-        Hashtbl.replace t.index h ((v, sid) :: bucket);
-        sid
+    let bucket = bucket t h in
+    let found = sid_in t.equal v bucket in
+    if found >= 0 then found
+    else begin
+      let sid = t.count in
+      ensure t (sid + 1);
+      t.values.(sid) <- Some v;
+      t.count <- sid + 1;
+      Index.replace t.index h ((v, sid) :: bucket);
+      sid
+    end
 
   let value t sid =
     if sid < 0 || sid >= t.count then invalid_arg "Sid.Map.value: unknown sid"

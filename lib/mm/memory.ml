@@ -64,6 +64,19 @@ let create ~cost ~core ~bulk ~disk =
 
 let pool t level = t.pools.(Level.depth level)
 
+(* Counter names, built once: [place_<level>] indexed by depth, and
+   [transfer_<src>_to_<dest>] indexed by (src depth, dest depth). *)
+let levels = Array.of_list Level.all
+let place_counter = Array.map (fun l -> "place_" ^ Level.name l) levels
+
+let transfer_counter =
+  Array.map
+    (fun src ->
+      Array.map
+        (fun dest -> Printf.sprintf "transfer_%s_to_%s" (Level.name src) (Level.name dest))
+        levels)
+    levels
+
 let capacity t level = Array.length (pool t level).frames
 
 let free_count t level = (pool t level).free_count
@@ -102,7 +115,7 @@ let place t page ~level =
           frame.modified <- false;
           let block = Block.make ~level ~index in
           Page_map.replace t.locations page block;
-          Multics_util.Stats.Counters.incr t.counters ("place_" ^ Level.name level);
+          Multics_util.Stats.Counters.incr t.counters place_counter.(Level.depth level);
           Ok block)
 
 let evict_page t page =
@@ -150,10 +163,8 @@ let transfer t page ~dest =
             dest_frame.modified <- false;
             let dest_block = Block.make ~level:dest ~index in
             Page_map.replace t.locations page dest_block;
-            let counter =
-              Printf.sprintf "transfer_%s_to_%s" (Level.name src_level) (Level.name dest)
-            in
-            Multics_util.Stats.Counters.incr t.counters counter;
+            Multics_util.Stats.Counters.incr t.counters
+              transfer_counter.(Level.depth src_level).(Level.depth dest);
             Ok (dest_block, transfer_cost t ~from_level:src_level ~to_level:dest)
       end
 

@@ -90,11 +90,15 @@ type scheduler = {
   sched_backlog : unit -> int;  (** ready + admission-stalled processes it holds *)
 }
 
+(* The process table is indexed by pid: pids are minted 1, 2, ... and
+   never reused, so a lookup is an array load and slot 0 stays [None].
+   Event accounting lives in plain int fields bumped on the hot path;
+   {!counters} renders them as a named counter bag only when asked. *)
 type t = {
   clock : Clock.t;
   cost : Cost.t;
   events : event Event_queue.t;
-  procs : (pid, process) Hashtbl.t;
+  mutable procs : process option array;
   mutable ready : pid Multics_util.Fqueue.t;
   mutable ready_dedicated : pid Multics_util.Fqueue.t;
       (** dedicated processes awaiting their reserved VP; kept apart so
@@ -107,7 +111,15 @@ type t = {
   mutable trace_enabled : bool;
   mutable faults : Multics_fault.Fault.Injector.t option;
   mutable scheduler : scheduler option;
-  counters : Multics_util.Stats.Counters.t;
+  mutable n_spawns : int;
+  mutable n_dispatches : int;
+  mutable n_wakeups_delivered : int;
+  mutable n_wakeups_pending : int;
+  mutable n_terminations : int;
+  mutable n_process_faults : int;
+  mutable n_preemptions : int;
+  mutable n_quantum_expiries : int;
+  mutable n_events : int;  (** events applied *)
 }
 
 exception Process_crashed
@@ -125,7 +137,7 @@ let create ~cost ~virtual_processors =
     clock = Clock.create ();
     cost;
     events = Event_queue.create ();
-    procs = Hashtbl.create 64;
+    procs = Array.make 64 None;
     ready = Multics_util.Fqueue.empty;
     ready_dedicated = Multics_util.Fqueue.empty;
     vps = Array.init virtual_processors (fun vp_id -> { vp_id; current = None; reserved = false });
@@ -136,7 +148,15 @@ let create ~cost ~virtual_processors =
     trace_enabled = false;
     faults = None;
     scheduler = None;
-    counters = Multics_util.Stats.Counters.create ();
+    n_spawns = 0;
+    n_dispatches = 0;
+    n_wakeups_delivered = 0;
+    n_wakeups_pending = 0;
+    n_terminations = 0;
+    n_process_faults = 0;
+    n_preemptions = 0;
+    n_quantum_expiries = 0;
+    n_events = 0;
   }
 
 let set_faults t injector = t.faults <- injector
@@ -149,14 +169,34 @@ let now t = Clock.now t.clock
 
 let cost_model t = t.cost
 
-let counters t = t.counters
+(* A counter that was never bumped is absent from the bag, exactly as
+   when each event incremented a named counter as it happened. *)
+let counters t =
+  let c = Multics_util.Stats.Counters.create () in
+  List.iter
+    (fun (name, n) -> if n > 0 then Multics_util.Stats.Counters.incr c name ~by:n)
+    [
+      ("dispatches", t.n_dispatches);
+      ("preemptions", t.n_preemptions);
+      ("process_faults", t.n_process_faults);
+      ("quantum_expiries", t.n_quantum_expiries);
+      ("spawns", t.n_spawns);
+      ("terminations", t.n_terminations);
+      ("wakeups_delivered", t.n_wakeups_delivered);
+      ("wakeups_pending", t.n_wakeups_pending);
+    ];
+  c
 
 let set_trace t enabled = t.trace_enabled <- enabled
 
 let trace t message =
   if t.trace_enabled then t.trace <- (now t, message) :: t.trace
 
-let tracef t fmt = Format.kasprintf (trace t) fmt
+(* Tracing off costs one branch: [ikfprintf] consumes the arguments
+   without building the message or calling any [%a] printer. *)
+let tracef t fmt =
+  if t.trace_enabled then Format.kasprintf (trace t) fmt
+  else Format.ikfprintf ignore Format.err_formatter fmt
 
 let trace_lines t = List.rev t.trace
 
@@ -174,7 +214,7 @@ let pending_wakeups c = c.pending
 (* ----- Process table ----- *)
 
 let proc t pid =
-  match Hashtbl.find_opt t.procs pid with
+  match if pid > 0 && pid < Array.length t.procs then t.procs.(pid) else None with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Sim: unknown pid %d" pid)
 
@@ -185,19 +225,29 @@ let perturbations_of t pid = (proc t pid).perturbation_count
 let failure_of t pid = (proc t pid).failure
 let exit_channel t pid = (proc t pid).exit_chan
 
-let processes t =
-  Hashtbl.fold (fun pid _ acc -> pid :: acc) t.procs [] |> List.sort Int.compare
+(* The pids whose process satisfies [keep], ascending. *)
+let pids_where t keep =
+  let rec collect pid acc =
+    if pid = 0 then acc
+    else
+      match t.procs.(pid) with
+      | Some p when keep p -> collect (pid - 1) (pid :: acc)
+      | Some _ | None -> collect (pid - 1) acc
+  in
+  collect (min (t.next_pid - 1) (Array.length t.procs - 1)) []
+
+let processes t = pids_where t (fun _ -> true)
 
 (* ----- Layer 2: binding processes to virtual processors ----- *)
 
 let bind_to_vp t p vp =
   vp.current <- Some p.pid;
   p.state <- Running;
-  Multics_util.Stats.Counters.incr t.counters "dispatches";
+  t.n_dispatches <- t.n_dispatches + 1;
   (* A fresh quantum per dispatch; dedicated kernel processes run
      unclocked even under a traffic controller. *)
   (match t.scheduler with
-  | Some s when p.dedicated_vp = None -> p.quantum_left <- s.sched_quantum p.pid
+  | Some s when Option.is_none p.dedicated_vp -> p.quantum_left <- s.sched_quantum p.pid
   | _ -> p.quantum_left <- None);
   let start_time = now t + t.cost.Cost.process_switch in
   let event = match p.cont with None -> Start p.pid | Some _ -> Resume p.pid in
@@ -215,6 +265,10 @@ let next_ready t ~vp =
           t.ready <- rest;
           Some pid
       | None -> None)
+
+(* State tests by pattern, not polymorphic equality: [Blocked] carries
+   a channel, so [=] would call the generic structural compare. *)
+let is_ready p = match p.state with Ready -> true | _ -> false
 
 let rec dispatch t =
   match p_dedicated_waiting t with
@@ -245,7 +299,7 @@ and p_dedicated_waiting t =
       t.ready_dedicated <- rest;
       let p = proc t pid in
       match p.dedicated_vp with
-      | Some vp_id when p.state = Ready && t.vps.(vp_id).current = None ->
+      | Some vp_id when is_ready p && Option.is_none t.vps.(vp_id).current ->
           Some (p, t.vps.(vp_id))
       | _ -> p_dedicated_waiting t (* stale entry *))
 
@@ -261,13 +315,18 @@ let make_ready t p =
   | None -> enqueue_ready t p);
   dispatch t
 
+let rec insert_vp vp_id = function
+  | id :: rest when id < vp_id -> id :: insert_vp vp_id rest
+  | ids -> vp_id :: ids
+
 let release_vp t p =
   Array.iter
     (fun vp ->
-      if vp.current = Some p.pid then begin
-        vp.current <- None;
-        if not vp.reserved then t.free_vps <- List.sort Int.compare (vp.vp_id :: t.free_vps)
-      end)
+      match vp.current with
+      | Some pid when pid = p.pid ->
+          vp.current <- None;
+          if not vp.reserved then t.free_vps <- insert_vp vp.vp_id t.free_vps
+      | Some _ | None -> ())
     t.vps;
   dispatch t
 
@@ -294,7 +353,7 @@ let spawn ?(ring = Ring.user) ?(dedicated = false) t ~name body =
       ring;
       body;
       dedicated_vp;
-      exit_chan = new_channel t ~name:(Printf.sprintf "exit.%s" name);
+      exit_chan = new_channel t ~name:("exit." ^ name);
       state = Unborn;
       cont = None;
       cycles_used = 0;
@@ -307,8 +366,13 @@ let spawn ?(ring = Ring.user) ?(dedicated = false) t ~name body =
       quantum_left = None;
     }
   in
-  Hashtbl.replace t.procs pid p;
-  Multics_util.Stats.Counters.incr t.counters "spawns";
+  if pid >= Array.length t.procs then begin
+    let grown = Array.make (max (pid + 1) (2 * Array.length t.procs)) None in
+    Array.blit t.procs 0 grown 0 pid;
+    t.procs <- grown
+  end;
+  t.procs.(pid) <- Some p;
+  t.n_spawns <- t.n_spawns + 1;
   tracef t "spawn %s (pid %d)%s" name pid (if dedicated then " [dedicated vp]" else "");
   make_ready t p;
   pid
@@ -320,13 +384,13 @@ let rec wakeup t chan =
   match Multics_util.Fqueue.pop chan.waiters with
   | Some (pid, rest) ->
       chan.waiters <- rest;
-      Multics_util.Stats.Counters.incr t.counters "wakeups_delivered";
+      t.n_wakeups_delivered <- t.n_wakeups_delivered + 1;
       Obs.Counter.incr (obs_wakeups_delivered ());
       tracef t "wakeup %s -> %s" chan.chan_name (name_of t pid);
       make_ready t (proc t pid)
   | None ->
       chan.pending <- chan.pending + 1;
-      Multics_util.Stats.Counters.incr t.counters "wakeups_pending";
+      t.n_wakeups_pending <- t.n_wakeups_pending + 1;
       Obs.Counter.incr (obs_wakeups_queued ());
       tracef t "wakeup %s (pending)" chan.chan_name
 
@@ -362,10 +426,10 @@ let terminate t p =
   p.state <- Terminated;
   p.cont <- None;
   p.compute_left <- 0;
-  Multics_util.Stats.Counters.incr t.counters "terminations";
+  t.n_terminations <- t.n_terminations + 1;
   tracef t "exit %s" p.pname;
   (match t.scheduler with
-  | Some s when p.dedicated_vp = None -> s.sched_retired p.pid
+  | Some s when Option.is_none p.dedicated_vp -> s.sched_retired p.pid
   | _ -> ());
   broadcast t p.exit_chan;
   release_vp t p
@@ -375,9 +439,10 @@ let handler_for t p : (unit, unit) Effect.Deep.handler =
     retc = (fun () -> terminate t p);
     exnc =
       (fun exn ->
-        p.failure <- Some (Printexc.to_string exn);
-        Multics_util.Stats.Counters.incr t.counters "process_faults";
-        tracef t "fault in %s: %s" p.pname (Printexc.to_string exn);
+        let why = Printexc.to_string exn in
+        p.failure <- Some why;
+        t.n_process_faults <- t.n_process_faults + 1;
+        tracef t "fault in %s: %s" p.pname why;
         terminate t p);
     effc =
       (fun (type c) (eff : c Effect.t) ->
@@ -415,7 +480,7 @@ let handler_for t p : (unit, unit) Effect.Deep.handler =
                   chan.waiters <- Multics_util.Fqueue.push chan.waiters p.pid;
                   tracef t "%s blocks on %s" p.pname chan.chan_name;
                   (match t.scheduler with
-                  | Some s when p.dedicated_vp = None -> s.sched_blocked p.pid
+                  | Some s when Option.is_none p.dedicated_vp -> s.sched_blocked p.pid
                   | _ -> ());
                   release_vp t p
                 end)
@@ -449,37 +514,39 @@ let resume_process t p =
    and hand the process back to the traffic controller.  The
    continuation stays parked; only timing changes, never results. *)
 let preempt t p =
-  Multics_util.Stats.Counters.incr t.counters "preemptions";
+  t.n_preemptions <- t.n_preemptions + 1;
   tracef t "preempt %s (%d cycles owed)" p.pname p.compute_left;
   p.state <- Ready;
   (match p.dedicated_vp with Some _ -> () | None -> enqueue_ready t p);
   release_vp t p
 
 let slice_done t p =
-  if p.state = Running then begin
-    p.compute_left <- p.compute_left - p.slice;
-    (match p.quantum_left with
-    | Some q -> p.quantum_left <- Some (q - p.slice)
-    | None -> ());
-    let expired = match p.quantum_left with Some q -> q <= 0 | None -> false in
-    if expired then begin
-      Multics_util.Stats.Counters.incr t.counters "quantum_expiries";
-      match t.scheduler with
-      | Some s when p.dedicated_vp = None ->
-          s.sched_quantum_expired p.pid ~preempted:(p.compute_left > 0)
-      | _ -> ()
-    end;
-    if p.compute_left > 0 then preempt t p else resume_process t p
-  end
+  match p.state with
+  | Running ->
+      p.compute_left <- p.compute_left - p.slice;
+      (match p.quantum_left with
+      | Some q -> p.quantum_left <- Some (q - p.slice)
+      | None -> ());
+      let expired = match p.quantum_left with Some q -> q <= 0 | None -> false in
+      if expired then begin
+        t.n_quantum_expiries <- t.n_quantum_expiries + 1;
+        match t.scheduler with
+        | Some s when Option.is_none p.dedicated_vp ->
+            s.sched_quantum_expired p.pid ~preempted:(p.compute_left > 0)
+        | _ -> ()
+      end;
+      if p.compute_left > 0 then preempt t p else resume_process t p
+  | Unborn | Ready | Blocked _ | Terminated -> ()
 
 (* Charge [cycles] to a process from outside (inline interrupt
    discipline).  Takes effect when the process next resumes. *)
 let perturb t pid cycles =
   let p = proc t pid in
-  if p.state <> Terminated then begin
-    p.extra_delay <- p.extra_delay + cycles;
-    p.perturbation_count <- p.perturbation_count + 1
-  end
+  match p.state with
+  | Terminated -> ()
+  | Unborn | Ready | Running | Blocked _ ->
+      p.extra_delay <- p.extra_delay + cycles;
+      p.perturbation_count <- p.perturbation_count + 1
 
 let running_pids t =
   Array.to_list t.vps
@@ -502,6 +569,7 @@ let at t ~delay thunk =
    runs, with no second interpretation of what an event means. *)
 let apply t ~time event =
   Clock.advance_to t.clock time;
+  t.n_events <- t.n_events + 1;
   match event with
   | Start pid -> start_process t (proc t pid)
   | Resume pid -> resume_process t (proc t pid)
@@ -532,11 +600,9 @@ let run_until t ~time =
   in
   loop ()
 
-let blocked_pids t =
-  Hashtbl.fold
-    (fun pid p acc -> match p.state with Blocked _ -> pid :: acc | _ -> acc)
-    t.procs []
-  |> List.sort Int.compare
+let events_applied t = t.n_events
+
+let blocked_pids t = pids_where t (fun p -> match p.state with Blocked _ -> true | _ -> false)
 
 let reschedule t = dispatch t
 

@@ -82,6 +82,12 @@ val now : t -> int
 
 val cost_model : t -> Cost.t
 val counters : t -> Multics_util.Stats.Counters.t
+(** The event tallies as a fresh named counter bag: [spawns],
+    [dispatches], [wakeups_delivered], [wakeups_pending],
+    [terminations], [process_faults], [preemptions] and
+    [quantum_expiries].  A tally still at zero is absent from
+    {!Multics_util.Stats.Counters.to_alist} and reads 0 through
+    {!Multics_util.Stats.Counters.get}. *)
 
 (** {1 Channels} *)
 
@@ -109,6 +115,8 @@ val block : chan -> unit
 (** Wait for a wakeup on the channel.  Only inside a process body. *)
 
 val name_of : t -> pid -> string
+(** This and the other per-process readers raise [Invalid_argument]
+    on a pid that names no process. *)
 
 type proc_state = Unborn | Ready | Running | Blocked of chan | Terminated
 
@@ -126,8 +134,14 @@ val exit_channel : t -> pid -> chan
 (** Broadcast when the process terminates. *)
 
 val processes : t -> pid list
+(** Every spawned pid, ascending.  Pids are minted 1, 2, ... and never
+    reused; a dedicated spawn that found no free VP consumed its pid
+    without creating a process. *)
+
 val running_pids : t -> pid list
+
 val blocked_pids : t -> pid list
+(** Pids currently blocked on a channel, ascending. *)
 
 val perturb : t -> pid -> int -> unit
 (** Charge cycles to a process from outside — the inline interrupt
@@ -162,8 +176,23 @@ val run_until : t -> time:int -> unit
 
 val quiescent : t -> bool
 
-(** {1 Tracing} *)
+val events_applied : t -> int
+(** Events {!apply} has run so far: the simulator's unit of work. *)
+
+(** {1 Tracing}
+
+    The simulator narrates spawns, blocks, wakeups, preemptions, faults
+    and exits into a trace when tracing is on.  Tracing off costs one
+    branch per call site: no message string is built and no [%a]
+    printer is called.  The format's arguments are still evaluated
+    (they are ordinary OCaml arguments), so a call site must not pass
+    an argument whose computation is itself expensive. *)
 
 val set_trace : t -> bool -> unit
-val trace : t -> string -> unit
+
+val tracef : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Format a trace line, stamped with {!now}, only when tracing is on;
+    otherwise no message is built and no [%a] printer is called. *)
+
 val trace_lines : t -> (int * string) list
+(** Recorded lines, oldest first, each stamped with its cycle. *)

@@ -39,6 +39,12 @@ let obs_promotions = Obs.Local.counter "sched.aging.promotions"
 let obs_storms = Obs.Local.counter "sched.preempt_storms"
 let obs_ready_depth = Obs.Local.counter "sched.queue.ready"
 let obs_admission_depth = Obs.Local.counter "sched.queue.admission"
+
+(* Per-pid tables, keyed by int: pids are dense ints, so the generic
+   polymorphic hash and compare would be pure overhead on every
+   enqueue, expiry and block. *)
+module Pid_tbl = Hashtbl.Make (Int)
+
 (* ----- The multi-level-feedback queues ----- *)
 
 module Mlf = struct
@@ -49,7 +55,7 @@ module Mlf = struct
     levels : int;
     mutable base_quantum : int;
     mutable age_after : int;
-    level_of : (Sim.pid, int) Hashtbl.t;  (** current level; absent = 0 *)
+    level_of : int Pid_tbl.t;  (** current level; absent = 0 *)
     mutable promos : int;
   }
 
@@ -62,15 +68,15 @@ module Mlf = struct
       levels;
       base_quantum;
       age_after;
-      level_of = Hashtbl.create 64;
+      level_of = Pid_tbl.create 64;
       promos = 0;
     }
 
-  let level t pid = Option.value (Hashtbl.find_opt t.level_of pid) ~default:0
+  let level t pid = Option.value (Pid_tbl.find_opt t.level_of pid) ~default:0
 
   let enqueue t ~now pid =
     let lvl = level t pid in
-    Hashtbl.replace t.level_of pid lvl;
+    Pid_tbl.replace t.level_of pid lvl;
     t.queues.(lvl) <- Fqueue.push t.queues.(lvl) { e_pid = pid; e_since = now }
 
   (* Aging, run at selection time: the head of each lower queue that
@@ -83,7 +89,7 @@ module Mlf = struct
       | Some (e, rest) when now - e.e_since >= t.age_after ->
           t.queues.(lvl) <- rest;
           t.queues.(lvl - 1) <- Fqueue.push t.queues.(lvl - 1) e;
-          Hashtbl.replace t.level_of e.e_pid (lvl - 1);
+          Pid_tbl.replace t.level_of e.e_pid (lvl - 1);
           t.promos <- t.promos + 1;
           Obs.Counter.incr (obs_promotions ())
       | _ -> ()
@@ -107,11 +113,11 @@ module Mlf = struct
      overflow. *)
   let quantum t pid = t.base_quantum lsl min (level t pid) 20
 
-  let expired t pid = Hashtbl.replace t.level_of pid (min (t.levels - 1) (level t pid + 1))
+  let expired t pid = Pid_tbl.replace t.level_of pid (min (t.levels - 1) (level t pid + 1))
 
-  let blocked t pid = Hashtbl.replace t.level_of pid 0
+  let blocked t pid = Pid_tbl.replace t.level_of pid 0
 
-  let retired t pid = Hashtbl.remove t.level_of pid
+  let retired t pid = Pid_tbl.remove t.level_of pid
 
   let backlog t = Array.fold_left (fun acc q -> acc + Fqueue.length q) 0 t.queues
 
@@ -187,7 +193,7 @@ type t = {
       (** multiprocessor plant: per-CPU run selection contends for its
           global lock, charged to the dispatched process *)
   mutable cap : int;  (** 0 = unlimited *)
-  eligible : (Sim.pid, unit) Hashtbl.t;
+  eligible : unit Pid_tbl.t;
   mutable admission : Sim.pid Fqueue.t;  (** ready but awaiting eligibility *)
   mutable dispatches : int;
   mutable preemptions : int;
@@ -202,7 +208,7 @@ let sim t = t.sim
 let policy t = t.pol
 let name t = policy_name t.pol
 let eligibility_cap t = t.cap
-let eligible_count t = Hashtbl.length t.eligible
+let eligible_count t = Pid_tbl.length t.eligible
 
 let upcall t =
   t.upcalls <- t.upcalls + 1;
@@ -271,10 +277,10 @@ let p_backlog t =
 
 (* ----- Eligibility (mechanism; identical under every policy) ----- *)
 
-let has_room t = t.cap = 0 || Hashtbl.length t.eligible < t.cap
+let has_room t = t.cap = 0 || Pid_tbl.length t.eligible < t.cap
 
 let admit t pid =
-  Hashtbl.replace t.eligible pid ();
+  Pid_tbl.replace t.eligible pid ();
   t.admissions <- t.admissions + 1;
   Obs.Counter.incr (obs_admissions ());
   p_enqueue t pid
@@ -289,7 +295,7 @@ let rec try_admit t =
     | None -> ()
 
 let enqueue t pid =
-  if Hashtbl.mem t.eligible pid then p_enqueue t pid
+  if Pid_tbl.mem t.eligible pid then p_enqueue t pid
   else if has_room t then admit t pid
   else begin
     t.stalls <- t.stalls + 1;
@@ -298,8 +304,8 @@ let enqueue t pid =
   end
 
 let release_eligibility t pid =
-  if Hashtbl.mem t.eligible pid then begin
-    Hashtbl.remove t.eligible pid;
+  if Pid_tbl.mem t.eligible pid then begin
+    Pid_tbl.remove t.eligible pid;
     try_admit t;
     (* A stalled process may now be both eligible and ready while VPs
        sit idle — redispatch immediately. *)
@@ -359,8 +365,8 @@ let quantum_expired t pid ~preempted =
 
 let retired t pid =
   p_retired t pid;
-  if Hashtbl.mem t.eligible pid then begin
-    Hashtbl.remove t.eligible pid;
+  if Pid_tbl.mem t.eligible pid then begin
+    Pid_tbl.remove t.eligible pid;
     try_admit t
   end
 
@@ -381,7 +387,7 @@ let create ?(eligibility_cap = 0) ?(policy = default_mlf) ?plant sim =
       impl;
       plant;
       cap = eligibility_cap;
-      eligible = Hashtbl.create 64;
+      eligible = Pid_tbl.create 64;
       admission = Fqueue.empty;
       dispatches = 0;
       preemptions = 0;
@@ -421,7 +427,7 @@ let status t =
       ("dispatches", t.dispatches);
       ("eligibility.cap", t.cap);
       ("eligibility.stalls", t.stalls);
-      ("eligible", Hashtbl.length t.eligible);
+      ("eligible", Pid_tbl.length t.eligible);
       ("policy.upcalls", t.upcalls);
       ("preempt.storms", t.storms);
       ("preemptions", t.preemptions);

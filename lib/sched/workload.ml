@@ -104,6 +104,7 @@ type result = {
   r_response : Stats.summary;
   r_batch_turnaround : Stats.summary;
   r_cycles : int;
+  r_events : int;
   r_throughput : float;
   r_page_faults : int;
   r_sched : (string * int) list;
@@ -135,8 +136,8 @@ let mediation_signature system =
   in
   Audit_log.records (System.audit system)
   |> List.map (fun (r : Audit_log.record) ->
-         Printf.sprintf "%s|%d|%s|%s|%s" r.subject r.ring r.operation r.target
-           (verdict_str r.verdict))
+         String.concat "|"
+           [ r.subject; string_of_int r.ring; r.operation; r.target; verdict_str r.verdict ])
   |> List.sort String.compare
   |> List.fold_left
        (fun h s ->
@@ -418,6 +419,7 @@ let run spec =
     r_response = Stats.summarize_ints !responses;
     r_batch_turnaround = Stats.summarize_ints !turnarounds;
     r_cycles = cycles;
+    r_events = Sim.events_applied sim;
     r_throughput = (if cycles = 0 then 0. else float_of_int !completed *. 1_000_000. /. float_of_int cycles);
     r_page_faults = Page_control.fault_count pc;
     r_sched = Sched.status sched;

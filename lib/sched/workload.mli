@@ -67,6 +67,7 @@ type result = {
   r_response : Multics_util.Stats.summary;  (** response time, cycles *)
   r_batch_turnaround : Multics_util.Stats.summary;
   r_cycles : int;  (** simulated time at quiescence *)
+  r_events : int;  (** simulator events the run applied ({!Sim.events_applied}) *)
   r_throughput : float;  (** interactions per million cycles *)
   r_page_faults : int;
   r_sched : (string * int) list;  (** {!Sched.status} at the end of the run *)

@@ -34,7 +34,7 @@ let summarize samples =
   if n = 0 then empty_summary
   else begin
     let arr = Array.of_list samples in
-    Array.sort compare arr;
+    Array.sort Float.compare arr;
     let total = Array.fold_left ( +. ) 0.0 arr in
     let mean = total /. float_of_int n in
     let sq_dev = Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 arr in

@@ -64,6 +64,25 @@ let test_transfer_nonresident () =
   | Error (Memory.Page_not_resident _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected not-resident"
 
+let test_counter_names () =
+  let m = make_memory () in
+  let ok = function Ok _ -> () | Error e -> Alcotest.fail (Memory.error_to_string e) in
+  ok (Memory.place m (page 0) ~level:Level.Core);
+  ok (Memory.place m (page 1) ~level:Level.Disk);
+  ok (Memory.transfer m (page 0) ~dest:Level.Bulk);
+  ok (Memory.transfer m (page 0) ~dest:Level.Disk);
+  ok (Memory.transfer m (page 1) ~dest:Level.Core);
+  Alcotest.(check (list (pair string int)))
+    "one counter per level and per level pair"
+    [
+      ("place_core", 1);
+      ("place_disk", 1);
+      ("transfer_bulk_to_disk", 1);
+      ("transfer_core_to_bulk", 1);
+      ("transfer_disk_to_core", 1);
+    ]
+    (Multics_util.Stats.Counters.to_alist (Memory.counters m))
+
 let test_disk_transfer_costs_more () =
   let m = make_memory () in
   (match Memory.place m (page 0) ~level:Level.Core with Ok _ -> () | Error _ -> Alcotest.fail "p0");
@@ -144,6 +163,7 @@ let suite =
     ("exhaustion", `Quick, test_exhaustion);
     ("transfer core->bulk", `Quick, test_transfer_core_to_bulk);
     ("transfer same level free", `Quick, test_transfer_same_level_free);
+    ("counter names", `Quick, test_counter_names);
     ("transfer nonresident", `Quick, test_transfer_nonresident);
     ("disk transfer costs more", `Quick, test_disk_transfer_costs_more);
     ("usage bits", `Quick, test_usage_bits);

@@ -249,6 +249,154 @@ let test_determinism () =
   in
   Alcotest.(check (list (pair string int))) "identical traces" (trace_of ()) (trace_of ())
 
+(* ----- Tracing and the process table -----
+
+   A scripted run that passes every traced transition: spawns, a block,
+   a delivered and a pending wakeup, two preemptions (a FIFO controller
+   with a 100-cycle quantum against a 250-cycle compute), a fault and
+   the exits.  [probe] runs at each of those points. *)
+
+let scripted_run ?(probe = ignore) ~trace () =
+  let sim = make_sim ~vps:1 () in
+  let ready = Queue.create () in
+  Sim.set_scheduler sim
+    (Some
+       {
+         Sim.sched_name = "fifo-q100";
+         sched_enqueue = (fun pid -> Queue.push pid ready);
+         sched_select = (fun ~vp:_ -> Queue.take_opt ready);
+         sched_quantum = (fun _ -> Some 100);
+         sched_quantum_expired = (fun _ ~preempted:_ -> ());
+         sched_blocked = ignore;
+         sched_retired = ignore;
+         sched_backlog = (fun () -> Queue.length ready);
+       });
+  Sim.set_trace sim trace;
+  let data = Sim.new_channel sim ~name:"data" in
+  let idle = Sim.new_channel sim ~name:"idle" in
+  ignore
+    (Sim.spawn sim ~name:"waiter" (fun _ ->
+         probe sim;
+         Sim.block data;
+         probe sim;
+         Sim.compute 10));
+  probe sim;
+  ignore
+    (Sim.spawn sim ~name:"cruncher" (fun _ ->
+         Sim.compute 250;
+         probe sim;
+         Sim.wakeup sim data;
+         probe sim));
+  ignore
+    (Sim.spawn sim ~name:"crasher" (fun _ ->
+         probe sim;
+         failwith "boom"));
+  Sim.at sim ~delay:50 (fun () ->
+      Sim.wakeup sim idle;
+      probe sim);
+  Sim.run sim;
+  probe sim;
+  sim
+
+let scripted_trace =
+  [
+    (0, "spawn waiter (pid 1)");
+    (0, "spawn cruncher (pid 2)");
+    (0, "spawn crasher (pid 3)");
+    (50, "wakeup idle (pending)");
+    (900, "waiter blocks on data");
+    (1900, "preempt cruncher (150 cycles owed)");
+    (2800, "fault in crasher: Failure(\"boom\")");
+    (2800, "exit crasher");
+    (3800, "preempt cruncher (50 cycles owed)");
+    (4750, "wakeup data -> waiter");
+    (4750, "exit cruncher");
+    (5660, "exit waiter");
+  ]
+
+let scripted_counters =
+  [
+    ("dispatches", 6);
+    ("preemptions", 2);
+    ("process_faults", 1);
+    ("quantum_expiries", 2);
+    ("spawns", 3);
+    ("terminations", 3);
+    ("wakeups_delivered", 1);
+    ("wakeups_pending", 1);
+  ]
+
+(* A [%a] printer that counts its calls: tracing off must never reach
+   it, whatever the simulator is doing around the call. *)
+let counting_probe () =
+  let calls = ref 0 in
+  let pp ppf () =
+    incr calls;
+    Format.pp_print_string ppf "probe"
+  in
+  (calls, fun sim -> Sim.tracef sim "%a" pp ())
+
+let test_trace_off_is_one_branch () =
+  let calls, probe = counting_probe () in
+  let sim = scripted_run ~probe ~trace:false () in
+  Alcotest.(check int) "printer never called" 0 !calls;
+  Alcotest.(check int) "no lines" 0 (List.length (Sim.trace_lines sim));
+  Alcotest.(check (list (pair string int)))
+    "the run passed every traced transition" scripted_counters
+    (Multics_util.Stats.Counters.to_alist (Sim.counters sim))
+
+let test_trace_on_lines () =
+  let calls, probe = counting_probe () in
+  let sim = scripted_run ~probe ~trace:true () in
+  Alcotest.(check int) "printer called at every probe" 8 !calls;
+  let lines = Sim.trace_lines sim in
+  Alcotest.(check int) "probe lines recorded" 8
+    (List.length (List.filter (fun (_, l) -> l = "probe") lines));
+  Alcotest.(check (list (pair int string)))
+    "simulator lines" scripted_trace
+    (List.filter (fun (_, l) -> l <> "probe") lines)
+
+let test_counters_rendered () =
+  let sim = scripted_run ~trace:false () in
+  let c = Sim.counters sim in
+  Alcotest.(check (list (pair string int)))
+    "names and values" scripted_counters (Multics_util.Stats.Counters.to_alist c);
+  let fresh = Sim.counters (make_sim ()) in
+  Alcotest.(check (list (pair string int)))
+    "untouched tallies absent" [] (Multics_util.Stats.Counters.to_alist fresh);
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check int) (name ^ " reads 0") 0 (Multics_util.Stats.Counters.get fresh name))
+    scripted_counters
+
+let test_process_table_contract () =
+  let sim = make_sim ~vps:2 () in
+  let c = Sim.new_channel sim ~name:"c" in
+  let k1 = Sim.spawn sim ~dedicated:true ~name:"k1" (fun _ -> Sim.block c) in
+  let s2 = Sim.spawn sim ~name:"s2" (fun _ -> Sim.block c) in
+  (* No VP left to dedicate: the spawn fails but consumes pid 3. *)
+  Alcotest.(check bool) "dedication refused" true
+    (try
+       ignore (Sim.spawn sim ~dedicated:true ~name:"k3" (fun _ -> ()));
+       false
+     with Invalid_argument _ -> true);
+  let s4 = Sim.spawn sim ~name:"s4" (fun _ -> Sim.compute 5) in
+  let s5 = Sim.spawn sim ~name:"s5" (fun _ -> Sim.block c) in
+  let s6 = Sim.spawn sim ~name:"s6" (fun _ -> Sim.block c) in
+  Sim.run sim;
+  Alcotest.(check (list int)) "pids minted in order" [ 1; 2; 4; 5; 6 ] [ k1; s2; s4; s5; s6 ];
+  Alcotest.(check (list int)) "processes ascending" [ 1; 2; 4; 5; 6 ] (Sim.processes sim);
+  Alcotest.(check (list int)) "blocked ascending" [ 1; 2; 5; 6 ] (Sim.blocked_pids sim);
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool) (Printf.sprintf "name_of %d" pid) true
+        (raises (fun () -> Sim.name_of sim pid));
+      Alcotest.(check bool) (Printf.sprintf "state_of %d" pid) true
+        (raises (fun () -> Sim.state_of sim pid)))
+    [ 0; -1; 3; 7 ];
+  Alcotest.(check string) "a live pid still resolves" "s6" (Sim.name_of sim s6)
+
 (* Property: with k shared VPs and n identical compute-bound processes,
    the makespan never beats the work bound (n*work)/k. *)
 let makespan_prop =
@@ -283,5 +431,9 @@ let suite =
     ("deadlock detection", `Quick, test_deadlock_detection);
     ("run_until", `Quick, test_run_until);
     ("determinism", `Quick, test_determinism);
+    ("trace off is one branch", `Quick, test_trace_off_is_one_branch);
+    ("trace on lines", `Quick, test_trace_on_lines);
+    ("counters rendered", `Quick, test_counters_rendered);
+    ("process table contract", `Quick, test_process_table_contract);
     QCheck_alcotest.to_alcotest makespan_prop;
   ]

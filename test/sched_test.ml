@@ -349,6 +349,15 @@ let test_workload_deterministic () =
   Alcotest.(check int) "same digest" a.Workload.r_signature b.Workload.r_signature;
   Alcotest.(check (float 0.0001)) "same p99" a.Workload.r_response.p99 b.Workload.r_response.p99
 
+(* The mediation digest of one small fixed spec, pinned: the rendering
+   of each audit record and the fold over them must not drift. *)
+let test_mediation_digest_pinned () =
+  let spec = { (parity_spec 7 Workload.Use_mlf) with interactions = 3; cap = 0 } in
+  let r = Workload.run spec in
+  Alcotest.(check int) "grants" 12 r.Workload.r_audit_granted;
+  Alcotest.(check int) "refusals" 3 r.Workload.r_audit_refused;
+  Alcotest.(check int) "digest" 0x287243d0 r.Workload.r_signature
+
 let test_thrashing_knee_shape () =
   (* Cap within the frame budget vs. far beyond it: over-admission must
      multiply page faults per interaction — the knee E17 charts. *)
@@ -402,4 +411,5 @@ let suite =
     Alcotest.test_case "parity: 100 seeds x 3 policies" `Slow test_parity_100_seeds;
     Alcotest.test_case "workload: deterministic" `Quick test_workload_deterministic;
     Alcotest.test_case "workload: thrashing knee" `Quick test_thrashing_knee_shape;
+    Alcotest.test_case "workload: mediation digest pinned" `Quick test_mediation_digest_pinned;
   ]
