@@ -1041,17 +1041,43 @@ let smoke () =
   let mc_expansions = mc_outcome.Multics_mc.Mc.o_expansions in
   let mc_violations = List.length mc_outcome.Multics_mc.Mc.o_counterexamples in
   let mc_states_per_sec = float_of_int mc_states /. mc_t in
+  (* Every state is a re-execution from boot, so the empty-trace
+     replay prices the boot; [System.create] is the kernel's share of
+     it.  Words allocated directly in the major heap per replay are a
+     count, not a timing: a boot that sizes a table for keys the plant
+     never uses shows up here (each hierarchy's access-vector table
+     starts at 16 x 256 cells, three arrays of them). *)
+  let replay () = Multics_mc.Mc.violations_of_trace ~bug:false [] in
+  let create () = Multics_kernel.System.create Multics_kernel.Config.kernel_6180 in
+  let boot_iters = 200 in
+  let median_us f =
+    ignore (time_iters 20 f);
+    ns_per (median (List.init trials (fun _ -> time_iters boot_iters f))) boot_iters /. 1e3
+  in
+  let replay_us = median_us replay and create_us = median_us create in
+  (* [Gc.counters], not [Gc.quick_stat]: after the harness leg's
+     domains end, [quick_stat] folds their orphaned tallies in at
+     arbitrary points, and the difference can read negative. *)
+  let direct_major_words () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct_major_words () in
+  ignore (time_iters boot_iters replay);
+  let major_per_replay = (direct_major_words () -. before) /. float_of_int boot_iters in
   Printf.printf
-    "bench smoke: [mc] exhaustive to depth %d — %d states, %d replays in %.3f s (%.0f states/s), %d violations\n"
-    mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations;
+    "bench smoke: [mc] exhaustive to depth %d — %d states, %d replays in %.3f s (%.0f states/s), %d violations; empty-trace replay %.1f us, System.create %.1f us, %.0f major words per replay\n"
+    mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations replay_us create_us
+    major_per_replay;
   if mc_violations <> 0 then begin
     print_endline "bench smoke: FAIL — the healthy plant produced a counterexample";
     exit 1
   end;
   append_record ~bench:"mc"
     (Printf.sprintf
-       {|"depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "violations": %d|}
-       mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations);
+       {|"depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "violations": %d, "replay_us": %.2f, "system_create_us": %.2f, "major_words_per_replay": %.1f|}
+       mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations replay_us create_us
+       major_per_replay);
 
   (* ----- the specialised gate table's dispatch overhead (E22) -----
 

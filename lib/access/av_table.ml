@@ -78,12 +78,11 @@ let compute ~(subject : Policy.subject) ~object_label ~acl ~brackets =
 
 (* Columns are object uids (already a dense SID space); cells for uids
    past this bound are never cached — they recompute, exactly like a
-   miss.  Matches [Gen]'s dense range, so every cached column has a
-   dense (array-read) generation counter. *)
+   miss.  The bound caps the table's memory: one row is at most this
+   many cells. *)
 let max_objects = 1 lsl 16
 
 type t = {
-  name : string;
   gens : Gen.t;
   sids : Policy.Subject_sids.t;  (** row minting: subject identity -> row index *)
   mutable rows : int;  (** allocated row capacity *)
@@ -105,13 +104,13 @@ let counter name field =
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(subjects = 16) ?(objects = 256) ?gens ~name () =
+(* The table starts at 16 rows of 256 cells and grows geometrically
+   (see [grow]) to what the hierarchy actually mediates. *)
+let create ?gens ~name () =
   let gens = match gens with Some g -> g | None -> Gen.create () in
-  let rows = max 1 subjects in
-  let cols = pow2_at_least (max 16 objects) 1 in
+  let rows = 16 and cols = 256 in
   let cells = rows * cols in
   {
-    name;
     gens;
     sids = Policy.Subject_sids.create ();
     rows;
@@ -128,8 +127,6 @@ let create ?(subjects = 16) ?(objects = 256) ?gens ~name () =
     flushes = counter name "flushes";
   }
 
-let name t = t.name
-let gens t = t.gens
 let subject_sid t subject = Policy.Subject_sids.sid_of t.sids subject
 let subject_count t = Policy.Subject_sids.count t.sids
 let set_flush_probe t probe = t.flush_probe <- probe
@@ -192,9 +189,6 @@ let find t ~subj ~obj =
       -1
     end
   end
-
-let find_opt t ~subj ~obj =
-  match find t ~subj ~obj with -1 -> None | av -> Some av
 
 let set t ~subj ~obj av =
   if obj >= 0 && obj < max_objects then begin

@@ -38,16 +38,13 @@ val compute :
 
 type t
 
-val create :
-  ?subjects:int -> ?objects:int -> ?gens:Multics_cache.Avc.Gen.t -> name:string -> unit -> t
-(** Preallocates [subjects] rows by [objects] columns (both grown
-    geometrically on demand; columns are capped at an internal bound
-    past which cells simply recompute).  Counters are registered under
-    ["cache.<name>.*"] with the same field names as {!Multics_cache.Avc},
-    so status surfaces need not care which mechanism serves them. *)
-
-val name : t -> string
-val gens : t -> Multics_cache.Avc.Gen.t
+val create : ?gens:Multics_cache.Avc.Gen.t -> name:string -> unit -> t
+(** Starts at 16 rows by 256 columns; rows and columns grow
+    geometrically as subjects and objects are cached (columns are
+    capped at an internal bound past which cells simply recompute).
+    Counters are registered under ["cache.<name>.*"] with the same
+    field names as {!Multics_cache.Avc}, so status surfaces need not
+    care which mechanism serves them. *)
 
 val subject_sid : t -> Policy.subject -> Sid.t
 (** Intern (or recall, via the subject's memo stamp — two int
@@ -60,9 +57,6 @@ val find : t -> subj:Sid.t -> obj:int -> int
     (empty, stale, or out of range).  Returns an int, not an option,
     so a hit allocates nothing.  Stale cells are marked empty and
     counted as an invalidation plus a miss, as in {!Multics_cache.Avc}. *)
-
-val find_opt : t -> subj:Sid.t -> obj:int -> int option
-(** Allocating convenience for tests. *)
 
 val set : t -> subj:Sid.t -> obj:int -> int -> unit
 (** Fill a cell, stamped with the current generations. *)

@@ -9,123 +9,76 @@
    changes ("setfaults" on an attribute change) — revocation is
    immediate, never deferred to a timeout.
 
-   This module simulates that discipline with epochs instead of selective
-   search: every cached entry is stamped with the generation counters
-   current at insertion (one global, one per object).  Any mutation that
-   could change a decision bumps a counter; a lookup whose stamps no
-   longer match the live counters is treated as a miss and dropped.  A
-   stale Permit therefore cannot outlive the authority that granted it:
-   the entry dies in the same step as the ACL edit, label change,
-   deletion, branch move or salvager repair that revoked it.
+   This module simulates that discipline two ways.  A descriptor change
+   clears the one direct-mapped slot that can hold its entry
+   ([invalidate]), which is setfaults exactly.  A mutation whose effect
+   reaches several caches at once bumps a generation counter instead:
+   every cached entry is stamped with the counters current at insertion
+   (one global, one per object), and a lookup whose stamps no longer
+   match the live counters is treated as a miss and dropped.  A stale
+   Permit therefore cannot outlive the authority that granted it: the
+   entry dies in the same step as the ACL edit, label change, deletion,
+   branch move, eviction or salvager repair that revoked it.
 
    The cache is deliberately generic: the same mechanism backs the
-   policy-verdict cache in the file-system hierarchy, the per-process
-   SDW associative memory, and the PTW lookaside in page control.  Each
-   instance reports hits/misses/invalidations through [lib/obs] under
-   "cache.<name>.*", and may carry a fault-injection probe that models
-   spurious full flushes (the [cache.flush] site): a flush storm may
-   cost performance, never correctness. *)
+   per-process SDW associative memory, the per-CPU CAMs and the PTW
+   lookaside in page control.  Each instance reports
+   hits/misses/invalidations through [lib/obs] under "cache.<name>.*",
+   and may carry a fault-injection probe that models spurious full
+   flushes (the [cache.flush] site): a flush storm may cost
+   performance, never correctness. *)
 
 module Obs = Multics_obs.Obs
 
 module Gen = struct
   (* [of_object] sits on the hit path of every cache lookup, so the
-     common case — small non-negative object ids (uids, segnos) — reads
-     a dense array grown on first bump; anything outside that range
-     (e.g. hashed page ids) falls back to a hashtable.  An id below
-     [dense_limit] that the array has not grown to cover was never
-     bumped, hence generation 0. *)
-  type t = {
-    mutable global : int;
-    mutable dense : int array;
-    sparse : (int, int) Hashtbl.t;
-    mutable compactions : int;
-  }
+     per-object counters are one dense array indexed by the object id
+     (uids, page SIDs).  It starts empty and grows geometrically on the
+     first bump past its end; an id it does not cover was never bumped,
+     hence generation 0.  A cache that never bumps an object allocates
+     nothing here. *)
+  type t = { mutable global : int; mutable dense : int array }
 
-  let dense_limit = 1 lsl 16
-
-  (* The sparse table's size bound.  Hashed ids (page ids) churn
-     forever on a long run — objects are deleted, their ids never
-     reused — so without pruning the table grows without bound.  When
-     a bump would push it past this limit the whole table is folded
-     into the global epoch instead (see [compact]). *)
-  let sparse_limit = 1 lsl 12
-
-  let obs_compactions = Obs.Local.counter "cache.gen.compactions"
-  let create () =
-    { global = 0; dense = Array.make 256 0; sparse = Hashtbl.create 16; compactions = 0 }
-
+  let create () = { global = 0; dense = [||] }
   let global t = t.global
 
+  let negative obj = invalid_arg (Printf.sprintf "Avc.Gen: negative object id %d" obj)
+
   let of_object t obj =
-    if obj >= 0 && obj < Array.length t.dense then Array.unsafe_get t.dense obj
-    else if obj >= 0 && obj < dense_limit then 0
-    else Option.value (Hashtbl.find_opt t.sparse obj) ~default:0
+    if obj < Array.length t.dense then
+      if obj >= 0 then Array.unsafe_get t.dense obj else negative obj
+    else 0
 
   let bump_global t = t.global <- t.global + 1
 
-  (* Epoch compaction — the pruning rule for sparse per-object entries.
-     Dropping one object's entry in isolation would be UNSOUND: an
-     entry stamped with generation 0 before the object was ever bumped
-     would read as fresh again once [of_object] falls back to 0 — a
-     revoked Permit resurrected.  Folding the table into the global
-     epoch first makes the drop sound: after [bump_global] no existing
-     entry in any cache sharing this [Gen.t] can match, so every
-     per-object counter is dead weight and the table can be cleared
-     wholesale.  Cost: one full-flush-equivalent miss storm, bounded to
-     once per [sparse_limit] distinct hashed objects — performance,
-     never correctness. *)
-  let compact t =
-    bump_global t;
-    Hashtbl.reset t.sparse;
-    t.compactions <- t.compactions + 1;
-    if Obs.enabled () then Obs.Counter.incr (obs_compactions ())
-
   let bump_object t obj =
-    if obj >= 0 && obj < dense_limit then begin
-      if obj >= Array.length t.dense then begin
-        let grown = Array.make (max (obj + 1) (2 * Array.length t.dense)) 0 in
-        Array.blit t.dense 0 grown 0 (Array.length t.dense);
-        t.dense <- grown
-      end;
-      t.dense.(obj) <- t.dense.(obj) + 1
-    end
-    else begin
-      if Hashtbl.length t.sparse >= sparse_limit && not (Hashtbl.mem t.sparse obj) then
-        compact t;
-      Hashtbl.replace t.sparse obj (of_object t obj + 1)
-    end
-
-  let sparse_size t = Hashtbl.length t.sparse
-  let compactions t = t.compactions
+    if obj < 0 then negative obj;
+    if obj >= Array.length t.dense then begin
+      let grown = Array.make (max (obj + 1) (max 16 (2 * Array.length t.dense))) 0 in
+      Array.blit t.dense 0 grown 0 (Array.length t.dense);
+      t.dense <- grown
+    end;
+    t.dense.(obj) <- t.dense.(obj) + 1
 end
 
-type ('k, 'v) entry = { value : 'v; obj : int; g_global : int; g_obj : int }
+type 'v entry = { key : int; value : 'v; g_global : int; g_obj : int }
 
-(* The table is a direct-mapped slot array indexed by a caller-supplied
-   integer hash, like the set-associative memories it simulates.  On
-   the hot path this matters twice over: the polymorphic
-   [Hashtbl.hash] would traverse the whole key (principal strings,
-   label compartments) on every lookup, and a chained hashtable pays
-   bucket-walk overhead — together they can cost more than recomputing
-   a cheap decision, making the associative memory slower than the
-   thing it bypasses.  A cheap key-specific hash (a few integer
-   mixes), one array probe, and one key equality on the probable match
-   keep a hit well under the recomputation cost, which is the entire
-   point of the mechanism.
+(* The table is a direct-mapped slot array indexed by the key's low
+   bits, like the set-associative memories it simulates.  Every key in
+   the system is a small dense int (a segno, a page SID) or an exact
+   composite of two (a per-CPU CAM's process handle above its segno),
+   so the low bits spread them with no hashing at all: one array
+   probe and one int compare decide a hit, which keeps it well under
+   the recomputation cost — the entire point of the mechanism.
 
    Direct mapping also settles the replacement question the hardware
    way: a new decision whose slot is occupied by a different key
    simply displaces it.  Displacement only ever discards a cached
    decision, so it is always sound. *)
-type ('k, 'v) t = {
-  name : string;
-  capacity : int;  (** number of slots, rounded up to a power of two *)
-  mask : int;
+type 'v t = {
+  mask : int;  (** slot count - 1; the slot count is a power of two *)
   gens : Gen.t;
-  hash : 'k -> int;
-  equal : 'k -> 'k -> bool;
-  slots : ('k * ('k, 'v) entry) option array;
+  slots : 'v entry option array;
   mutable population : int;
   mutable flush_probe : (unit -> bool) option;
   hits : Obs.Counter.t;
@@ -140,16 +93,12 @@ let counter name field =
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(capacity = 256) ?gens ?(hash = Hashtbl.hash) ?(equal = ( = )) ~name () =
+let create ?(capacity = 256) ?gens ~name () =
   let gens = match gens with Some g -> g | None -> Gen.create () in
   let capacity = pow2_at_least (max 1 capacity) 1 in
   {
-    name;
-    capacity;
     mask = capacity - 1;
     gens;
-    hash;
-    equal;
     slots = Array.make capacity None;
     population = 0;
     flush_probe = None;
@@ -160,8 +109,6 @@ let create ?(capacity = 256) ?gens ?(hash = Hashtbl.hash) ?(equal = ( = )) ~name
     flushes = counter name "flushes";
   }
 
-let name t = t.name
-let capacity t = t.capacity
 let gens t = t.gens
 let size t = t.population
 let set_flush_probe t probe = t.flush_probe <- probe
@@ -180,23 +127,24 @@ let flush t =
 let probe_fault t =
   match t.flush_probe with Some fires when fires () -> flush t | _ -> ()
 
-let fresh t e = e.g_global = Gen.global t.gens && e.g_obj = Gen.of_object t.gens e.obj
+let fresh t e = e.g_global = Gen.global t.gens && e.g_obj = Gen.of_object t.gens e.key
 
-let slot_of t key = t.hash key land t.mask
+let drop t i =
+  t.slots.(i) <- None;
+  t.population <- t.population - 1;
+  incr t.invalidations
 
 let find t key =
   probe_fault t;
-  let i = slot_of t key in
+  let i = key land t.mask in
   match t.slots.(i) with
-  | Some (k, e) when t.equal k key ->
+  | Some e when e.key = key ->
       if fresh t e then begin
         incr t.hits;
         Some e.value
       end
       else begin
-        t.slots.(i) <- None;
-        t.population <- t.population - 1;
-        incr t.invalidations;
+        drop t i;
         incr t.misses;
         None
       end
@@ -204,40 +152,29 @@ let find t key =
       incr t.misses;
       None
 
-let add t ~obj key value =
+let add t key value =
   (* Direct-mapped, hardware-style: a collision displaces the resident
      entry rather than maintain LRU bookkeeping the 6180 never had.
      Displacement discards a decision; it can never resurrect one. *)
-  let i = slot_of t key in
-  if t.slots.(i) = None then t.population <- t.population + 1;
-  t.slots.(i) <-
-    Some (key, { value; obj; g_global = Gen.global t.gens; g_obj = Gen.of_object t.gens obj });
+  let g_obj = Gen.of_object t.gens key in
+  let i = key land t.mask in
+  if Option.is_none t.slots.(i) then t.population <- t.population + 1;
+  t.slots.(i) <- Some { key; value; g_global = Gen.global t.gens; g_obj };
   incr t.insertions
-
-let find_or_add t ~obj key compute =
-  match find t key with
-  | Some v -> (v, true)
-  | None ->
-      let v = compute () in
-      add t ~obj key v;
-      (v, false)
-
-let keys t =
-  Array.fold_left
-    (fun acc slot ->
-      match slot with Some (k, e) when fresh t e -> k :: acc | Some _ | None -> acc)
-    [] t.slots
 
 let entries t =
   Array.fold_left
     (fun acc slot ->
       match slot with
-      | Some (k, e) when fresh t e -> (k, e.value) :: acc
+      | Some e when fresh t e -> (e.key, e.value) :: acc
       | Some _ | None -> acc)
     [] t.slots
 
+let invalidate t key =
+  let i = key land t.mask in
+  match t.slots.(i) with Some e when e.key = key -> drop t i | Some _ | None -> ()
+
 let invalidate_object t obj = Gen.bump_object t.gens obj
-let invalidate_all t = Gen.bump_global t.gens
 
 let counters t =
   [
@@ -247,7 +184,3 @@ let counters t =
     ("insertions", Obs.Counter.get t.insertions);
     ("flushes", Obs.Counter.get t.flushes);
   ]
-
-let hit_ratio t =
-  let h = Obs.Counter.get t.hits and m = Obs.Counter.get t.misses in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)

@@ -1,126 +1,95 @@
 (** A generic fixed-capacity, epoch-versioned decision cache — the
     simulated counterpart of the 6180's associative memory, generalised
-    to back the policy-verdict cache, the per-process SDW associative
-    memory and the PTW lookaside.
+    to back the per-process SDW associative memory, the per-CPU CAMs
+    and the PTW lookaside.
 
-    Revocation correctness is the design center: entries are stamped
-    with generation counters (one global, one per object id) at
-    insertion, and any mutation that could change a cached decision
-    bumps a counter.  A lookup whose stamps are stale is a miss — the
-    entry is dropped on the spot — so invalidation is immediate, never
-    TTL-based, and a stale Permit can never outlive the authority that
-    granted it. *)
+    Revocation correctness is the design center.  Two disciplines
+    keep a cached decision from outliving the authority that granted
+    it, and both act in the same step as the mutation:
 
-(** Generation counters.  A [Gen.t] may be shared by several caches so
-    one bump invalidates every decision derived from the mutated
-    object.
+    - {b setfaults} ({!invalidate}): the changed descriptor's own
+      entry is dropped from its one direct-mapped slot;
+    - {b generation stamps} ({!Gen}): entries are stamped with the
+      generation counters (one global, one per object id) current at
+      insertion, and a bump of either makes every entry derived from
+      that object stale — a lookup whose stamps no longer match is a
+      miss and the entry is dropped on the spot.  This is how one
+      mutation revokes decisions held by several caches at once.
 
-    {b Sparse-table pruning rule.}  Per-object counters for hashed ids
-    (page ids and the like) live in a sparse hashtable; on a long run
-    those ids churn forever and the table would grow without bound.
-    When a bump would push the table past an internal limit it is
-    {e epoch-compacted}: the global generation is bumped first — staling
-    every entry of every cache sharing the [Gen.t] — and only then is
-    the table cleared.  Dropping a single object's counter in isolation
-    would be unsound (an entry stamped with the pre-bump counter would
-    read as fresh again once the counter resets to 0 — a revoked Permit
-    resurrected); compaction after a global bump cannot resurrect
-    anything because no pre-compaction stamp can match the new global
-    epoch.  The cost is one full-flush-equivalent miss storm per
-    [2^12] distinct hashed objects — performance, never correctness. *)
+    Invalidation is immediate, never TTL-based. *)
+
+(** Generation counters.  A [Gen.t] may be shared by several caches
+    (and by {!Multics_access.Av_table}) so one bump invalidates every
+    decision derived from the mutated object.  Object ids are dense
+    non-negative ints (uids, page SIDs): the per-object counters are
+    one array, grown geometrically on the first bump past its end; an
+    id the array does not cover was never bumped, hence generation
+    0.  The array has no cap: it costs one word per id up to the
+    largest id ever bumped, and uids and page SIDs are never reused,
+    so a long create/delete run grows it with the highest id it
+    bumps. *)
 module Gen : sig
   type t
 
   val create : unit -> t
   val global : t -> int
+
   val of_object : t -> int -> int
+  (** Raises [Invalid_argument] for a negative id. *)
 
   val bump_global : t -> unit
   (** Invalidate every entry of every cache sharing this [Gen.t]. *)
 
   val bump_object : t -> int -> unit
   (** Invalidate entries whose decisions derive from object [obj].
-      May trigger an epoch compaction (see the pruning rule above). *)
-
-  val sparse_limit : int
-  (** Size bound on the sparse per-object table; reaching it triggers
-      compaction. *)
-
-  val compact : t -> unit
-  (** Force an epoch compaction: bump the global generation, then clear
-      the sparse table.  Sound by the pruning rule above. *)
-
-  val sparse_size : t -> int
-  (** Current sparse-table population (for tests and gauges). *)
-
-  val compactions : t -> int
-  (** Number of compactions performed on this [Gen.t]; also counted
-      globally under ["cache.gen.compactions"]. *)
+      Raises [Invalid_argument] for a negative id. *)
 end
 
-type ('k, 'v) t
+type 'v t
+(** A cache from non-negative int keys to decisions.  Each key is
+    also the object id its entry is stamped against. *)
 
-val create :
-  ?capacity:int ->
-  ?gens:Gen.t ->
-  ?hash:('k -> int) ->
-  ?equal:('k -> 'k -> bool) ->
-  name:string ->
-  unit ->
-  ('k, 'v) t
+val create : ?capacity:int -> ?gens:Gen.t -> name:string -> unit -> 'v t
 (** [capacity] defaults to 256 and is rounded up to a power of two.
-    The table is a direct-mapped slot array (hardware-style): an
-    insertion whose slot is occupied by a different key displaces the
-    resident entry rather than maintain LRU bookkeeping.  Displacement
-    only ever discards a cached decision, so it is always sound.
-    Counters are registered in {!Multics_obs.Obs.Registry.global} under
+    The table is a direct-mapped slot array (hardware-style): a key's
+    slot is its low bits, and an insertion whose slot is occupied by a
+    different key displaces the resident entry rather than maintain
+    LRU bookkeeping.  Displacement only ever discards a cached
+    decision, so it is always sound.  Counters are registered in
+    {!Multics_obs.Obs.Registry.global} under
     ["cache.<name>.hits"/"misses"/"invalidations"/"insertions"/
-    "flushes"]; instances sharing a [name] share counters.
+    "flushes"]; instances sharing a [name] share counters. *)
 
-    [hash]/[equal] default to the polymorphic [Hashtbl.hash] and [=].
-    Hot-path instances should supply a cheap [hash] (a few integer
-    mixes): the polymorphic hash re-traverses the whole key on every
-    lookup, which can cost more than the decision the cache was meant
-    to bypass.  [hash] need not be injective — two keys mapping to the
-    same slot simply displace one another; [equal] keeps a collision
-    from ever being mistaken for a hit. *)
+val gens : 'v t -> Gen.t
+val size : 'v t -> int
 
-val name : ('k, 'v) t -> string
-val capacity : ('k, 'v) t -> int
-val gens : ('k, 'v) t -> Gen.t
-val size : ('k, 'v) t -> int
-
-val set_flush_probe : ('k, 'v) t -> (unit -> bool) option -> unit
+val set_flush_probe : 'v t -> (unit -> bool) option -> unit
 (** Install a fault-injection probe consulted on every lookup; when it
     fires the cache is flushed first (the [cache.flush] storm site).
     Flush storms cost performance, never correctness. *)
 
-val find : ('k, 'v) t -> 'k -> 'v option
+val find : 'v t -> int -> 'v option
 (** Stale entries (stamp mismatch) are dropped and counted as an
     invalidation plus a miss. *)
 
-val add : ('k, 'v) t -> obj:int -> 'k -> 'v -> unit
-(** Insert a decision derived from object [obj], stamped with the
-    current generations. *)
+val add : 'v t -> int -> 'v -> unit
+(** Insert a decision, stamped with the current generations.  Raises
+    [Invalid_argument] for a negative key. *)
 
-val find_or_add : ('k, 'v) t -> obj:int -> 'k -> (unit -> 'v) -> 'v * bool
-(** [find_or_add t ~obj key compute] returns [(value, was_hit)]. *)
-
-val keys : ('k, 'v) t -> 'k list
-(** Keys of the entries that would currently hit (stale entries are
-    skipped); order unspecified.  For invariant checks. *)
-
-val entries : ('k, 'v) t -> ('k * 'v) list
+val entries : 'v t -> (int * 'v) list
 (** Key/value pairs of the entries that would currently hit (stale
     entries are skipped); order unspecified.  Read-only: no counter
     moves, no entry is dropped.  For invariant checks. *)
 
-val invalidate_object : ('k, 'v) t -> int -> unit
-val invalidate_all : ('k, 'v) t -> unit
-val flush : ('k, 'v) t -> unit
+val invalidate : 'v t -> int -> unit
+(** Setfaults for one key: drop its entry if its slot holds it,
+    counted as an invalidation.  Other keys' entries are untouched. *)
 
-val counters : ('k, 'v) t -> (string * int) list
+val invalidate_object : 'v t -> int -> unit
+(** Bump object [obj]'s generation in this cache's {!Gen.t}: stales
+    the entries every sharing cache derived from it. *)
+
+val flush : 'v t -> unit
+
+val counters : 'v t -> (string * int) list
 (** Current readings of this cache's obs counters (shared by name). *)
-
-val hit_ratio : ('k, 'v) t -> float
-(** hits / (hits + misses), 0 when no lookups yet. *)

@@ -57,9 +57,13 @@ let exhaustive_verdict (o : Mc.outcome) =
   if n = 0 then
     ( true,
       Printf.sprintf
-        "[mc] 0 violations: exhaustive to depth %d, %d states, %d replays — stale-Permit, \
-         fail-secure, lattice-flow and AV-parity hold on every reachable state"
-        o.Mc.o_depth o.Mc.o_states o.Mc.o_expansions )
+        "[mc] 0 violations: %s, %d replays — stale-Permit, fail-secure, lattice-flow and \
+         AV-parity hold on every reachable state"
+        (match Mc.fixpoint o with
+        | Some k ->
+            Printf.sprintf "complete: fixpoint at depth %d, %d reachable states" k o.Mc.o_states
+        | None -> Printf.sprintf "exhaustive to depth %d, %d states" o.Mc.o_depth o.Mc.o_states)
+        o.Mc.o_expansions )
   else
     ( false,
       Printf.sprintf "[mc] %d violation%s found exploring to depth %d — see counterexamples" n

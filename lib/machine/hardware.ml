@@ -104,17 +104,15 @@ let allowed sdw ~ring ~operation =
    {!invalidate}/{!flush}, so a cached SDW always equals the SDW the
    descriptor segment currently holds. *)
 module Assoc = struct
-  type t = (int, Sdw.t) Multics_cache.Avc.t
+  type t = Sdw.t Multics_cache.Avc.t
 
   (* 16 entries, as on the 6180 appending unit. *)
-  let create ?(capacity = 16) ?(name = "hw.assoc") () =
-    Multics_cache.Avc.create ~capacity ~hash:(fun segno -> segno) ~equal:Int.equal ~name ()
+  let create ?(name = "hw.assoc") () = Multics_cache.Avc.create ~capacity:16 ~name ()
   let lookup t ~segno = Multics_cache.Avc.find t segno
-  let install t ~segno sdw = Multics_cache.Avc.add t ~obj:segno segno sdw
-  let invalidate t ~segno = Multics_cache.Avc.invalidate_object t segno
+  let install t ~segno sdw = Multics_cache.Avc.add t segno sdw
+  let invalidate t ~segno = Multics_cache.Avc.invalidate t segno
   let flush t = Multics_cache.Avc.flush t
   let size t = Multics_cache.Avc.size t
-  let hit_ratio t = Multics_cache.Avc.hit_ratio t
   let counters t = Multics_cache.Avc.counters t
   let entries t = Multics_cache.Avc.entries t
 end

@@ -33,17 +33,23 @@ val allowed : Sdw.t -> ring:Ring.t -> operation:operation -> bool
 module Assoc : sig
   type t
 
-  val create : ?capacity:int -> ?name:string -> unit -> t
-  (** [capacity] defaults to 16, as on the 6180.  [name] (default
-      ["hw.assoc"]) selects the obs counter family, so a per-CPU CAM
-      can report under ["cache.smp.assoc.*"] instead. *)
+  val create : ?name:string -> unit -> t
+  (** 16 entries, direct-mapped by the key's low 4 bits, as on the
+      6180.  [name] (default ["hw.assoc"]) selects the obs counter
+      family, so a per-CPU CAM can report under
+      ["cache.smp.assoc.*"] instead. *)
 
   val lookup : t -> segno:int -> Sdw.t option
+
   val install : t -> segno:int -> Sdw.t -> unit
+  (** Raises [Invalid_argument] for a negative [segno]. *)
+
   val invalidate : t -> segno:int -> unit
+  (** Setfaults: drop [segno]'s entry from its slot (counted under
+      ["invalidations"]); every other entry survives. *)
+
   val flush : t -> unit
   val size : t -> int
-  val hit_ratio : t -> float
 
   val counters : t -> (string * int) list
   (** The underlying cache's obs counter readings

@@ -455,7 +455,7 @@ let canonical t =
   for cpu = 0 to 1 do
     bpf "cpu %d cam{" cpu;
     List.iter
-      (fun (key, sdw) -> bpf " %d=%s" key (render_sdw sdw))
+      (fun ((handle, segno), sdw) -> bpf " %d:%d=%s" handle segno (render_sdw sdw))
       (List.sort compare (Smp.cam_entries t.plant ~cpu));
     bpf " } ptw{";
     List.iter (fun key -> bpf " %d" key) (List.sort compare (Smp.ptw_keys t.plant ~cpu));
@@ -522,8 +522,7 @@ let check_p1 t =
     [ Alice; Bob ];
   for cpu = 0 to 1 do
     List.iter
-      (fun (key, cached) ->
-        let handle, segno = Smp.split_cam_key key in
+      (fun ((handle, segno), cached) ->
         match System.proc t.system handle with
         | None ->
             if not (Mode.is_none (Sdw.mode cached)) then
@@ -690,6 +689,12 @@ let explore ?jobs ?(bug = false) ~depth () =
     o_counterexamples = !found;
   }
 
+(* The depth whose row added no new state: every successor of the
+   frontier was already visited, so the search is complete, not merely
+   bounded. *)
+let fixpoint o =
+  List.find_map (fun r -> if r.row_new_states = 0 then Some r.row_depth else None) o.o_rows
+
 (* ----- Rendering ----- *)
 
 let violation_to_string v = Printf.sprintf "%s: %s" v.predicate v.detail
@@ -719,8 +724,10 @@ let summary o =
     (fun r ->
       bpf "  %5d  %12d  %12d  %12d\n" r.row_depth r.row_expansions r.row_new_states r.row_states)
     o.o_rows;
-  bpf "  exhaustive to depth %d: %d distinct states, %d replays, %d violation%s\n" o.o_depth
-    o.o_states o.o_expansions
+  (match fixpoint o with
+  | Some k -> bpf "  complete: fixpoint at depth %d, %d reachable states" k o.o_states
+  | None -> bpf "  exhaustive to depth %d: %d distinct states" o.o_depth o.o_states);
+  bpf ", %d replays, %d violation%s\n" o.o_expansions
     (List.length o.o_counterexamples)
     (if List.length o.o_counterexamples = 1 then "" else "s");
   List.iter

@@ -116,10 +116,16 @@ val explore : ?jobs:int -> ?bug:bool -> depth:int -> unit -> outcome
     re-enables the pre-PR 5 deferred-connect stale-Permit window and
     extends the alphabet with [Deliver]. *)
 
+val fixpoint : outcome -> int option
+(** The depth whose row added no new state, when the search reached
+    one before its bound: every reachable state was visited. *)
+
 val summary : outcome -> string
 (** The states/depth/expansions table plus any counterexamples —
     deterministic (no wall-clock), so pool-size parity can compare
-    summaries byte for byte. *)
+    summaries byte for byte.  Its closing line reads [complete:
+    fixpoint at depth K, N reachable states] when {!fixpoint} is
+    [Some K], else [exhaustive to depth D: N distinct states]. *)
 
 val counterexample_script : counterexample -> string
 (** The counterexample as a replayable shell script driving the

@@ -36,7 +36,8 @@ type t = {
   cost : Multics_machine.Cost.t;
   pools : pool array;  (** indexed by Level.depth *)
   locations : Block.t Page_map.t;
-  counters : Multics_util.Stats.Counters.t;
+  places : int array;  (** placements, indexed by level depth *)
+  transfers : int array;  (** transfers, indexed by {!transfer_slot} *)
 }
 
 let error_to_string = function
@@ -54,28 +55,19 @@ let make_pool level capacity =
     free_count = capacity;
   }
 
+let n_levels = List.length Level.all
+let transfer_slot ~src ~dest = (Level.depth src * n_levels) + Level.depth dest
+
 let create ~cost ~core ~bulk ~disk =
   {
     cost;
     pools = [| make_pool Level.Core core; make_pool Level.Bulk bulk; make_pool Level.Disk disk |];
     locations = Page_map.create 1024;
-    counters = Multics_util.Stats.Counters.create ();
+    places = Array.make n_levels 0;
+    transfers = Array.make (n_levels * n_levels) 0;
   }
 
 let pool t level = t.pools.(Level.depth level)
-
-(* Counter names, built once: [place_<level>] indexed by depth, and
-   [transfer_<src>_to_<dest>] indexed by (src depth, dest depth). *)
-let levels = Array.of_list Level.all
-let place_counter = Array.map (fun l -> "place_" ^ Level.name l) levels
-
-let transfer_counter =
-  Array.map
-    (fun src ->
-      Array.map
-        (fun dest -> Printf.sprintf "transfer_%s_to_%s" (Level.name src) (Level.name dest))
-        levels)
-    levels
 
 let capacity t level = Array.length (pool t level).frames
 
@@ -85,7 +77,17 @@ let location t page = Page_map.find_opt t.locations page
 
 let occupant t block = (pool t (Block.level block)).frames.(Block.index block).occupant
 
-let counters t = t.counters
+let counters t =
+  Multics_util.Stats.Counters.of_tallies
+    (List.concat_map
+       (fun src ->
+         ("place_" ^ Level.name src, t.places.(Level.depth src))
+         :: List.map
+              (fun dest ->
+                ( Printf.sprintf "transfer_%s_to_%s" (Level.name src) (Level.name dest),
+                  t.transfers.(transfer_slot ~src ~dest) ))
+              Level.all)
+       Level.all)
 
 (* ----- Allocation ----- *)
 
@@ -115,7 +117,8 @@ let place t page ~level =
           frame.modified <- false;
           let block = Block.make ~level ~index in
           Page_map.replace t.locations page block;
-          Multics_util.Stats.Counters.incr t.counters place_counter.(Level.depth level);
+          let d = Level.depth level in
+          t.places.(d) <- t.places.(d) + 1;
           Ok block)
 
 let evict_page t page =
@@ -163,8 +166,8 @@ let transfer t page ~dest =
             dest_frame.modified <- false;
             let dest_block = Block.make ~level:dest ~index in
             Page_map.replace t.locations page dest_block;
-            Multics_util.Stats.Counters.incr t.counters
-              transfer_counter.(Level.depth src_level).(Level.depth dest);
+            let i = transfer_slot ~src:src_level ~dest in
+            t.transfers.(i) <- t.transfers.(i) + 1;
             Ok (dest_block, transfer_cost t ~from_level:src_level ~to_level:dest)
       end
 

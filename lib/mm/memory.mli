@@ -54,7 +54,8 @@ val core_residents : t -> Page_id.t list
 val residents : t -> Level.t -> Page_id.t list
 
 val counters : t -> Multics_util.Stats.Counters.t
-(** Traffic counters: [place_*], [transfer_<src>_to_<dst>]. *)
+(** Traffic counters, built when asked: [place_*],
+    [transfer_<src>_to_<dst>]; a tally still at 0 is absent. *)
 
 val check_conservation : t -> bool
 (** Structural invariant: every page at exactly one claimed frame, free

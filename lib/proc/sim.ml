@@ -169,12 +169,8 @@ let now t = Clock.now t.clock
 
 let cost_model t = t.cost
 
-(* A counter that was never bumped is absent from the bag, exactly as
-   when each event incremented a named counter as it happened. *)
 let counters t =
-  let c = Multics_util.Stats.Counters.create () in
-  List.iter
-    (fun (name, n) -> if n > 0 then Multics_util.Stats.Counters.incr c name ~by:n)
+  Multics_util.Stats.Counters.of_tallies
     [
       ("dispatches", t.n_dispatches);
       ("preemptions", t.n_preemptions);
@@ -184,8 +180,7 @@ let counters t =
       ("terminations", t.n_terminations);
       ("wakeups_delivered", t.n_wakeups_delivered);
       ("wakeups_pending", t.n_wakeups_pending);
-    ];
-  c
+    ]
 
 let set_trace t enabled = t.trace_enabled <- enabled
 

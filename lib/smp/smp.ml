@@ -19,7 +19,7 @@
 
    - {b Coherence is synchronous.}  [connect_invalidate] /
      [connect_flush_all] do not return until every CPU's memories have
-     been cleared or bumped.  There is no window in which a mutation
+     been cleared.  There is no window in which a mutation
      has returned while a remote CPU can still hit a pre-mutation
      entry.
 
@@ -106,10 +106,10 @@ end
 type cpu = {
   id : int;
   cam : Hardware.Assoc.t;
-      (** this CPU's SDW associative memory; keyed by the composite
-          [(handle lsl segno_bits) lor segno] so entries from different
+      (** this CPU's SDW associative memory, keyed by the exact
+          [(handle, segno)] pair ({!cam_key}) so entries from different
           processes' descriptor segments can never be confused *)
-  ptw : (int, unit) Avc.t;
+  ptw : unit Avc.t;
       (** this CPU's PTW lookaside front, keyed by dense page SID
           (see {!Multics_vm.Page_control.page_sid}); shares its
           generations with page control's [vm.ptw] cache so an
@@ -140,11 +140,19 @@ type t = {
   connect_cycles : Obs.Histogram.t;
 }
 
-(* Segment numbers fit comfortably below this; the composite CAM key
-   puts the process handle in the bits above. *)
-let segno_bits = 12
+(* A CPU's CAM holds several processes' descriptors, so its key is the
+   exact (handle, segno) pair: the handle above bit 32, the segno below.
+   The key's low bits are the segno's, so a CAM entry's slot is the
+   same as in the per-process memory.  A pair the key cannot hold
+   exactly has no key (-1) and never touches the CAM: a segno that
+   shared a key with another would replay that segment's descriptor. *)
+let segno_limit = 1 lsl 32
+let handle_limit = 1 lsl 30
 
-let cam_key ~handle ~segno = (handle lsl segno_bits) lor (segno land ((1 lsl segno_bits) - 1))
+let cam_key ~handle ~segno =
+  if segno >= 0 && segno < segno_limit && handle >= 0 && handle < handle_limit then
+    (handle lsl 32) lor segno
+  else -1
 
 let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
   if ncpus < 1 || ncpus > max_cpus then
@@ -153,10 +161,7 @@ let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
     {
       id;
       cam = Hardware.Assoc.create ~name:"smp.assoc" ();
-      ptw =
-        Avc.create ~capacity:64 ?gens:ptw_gens
-          ~hash:(fun page -> page)
-          ~equal:Int.equal ~name:"smp.ptw" ();
+      ptw = Avc.create ~capacity:64 ?gens:ptw_gens ~name:"smp.ptw" ();
       connects_received = 0;
     }
   in
@@ -308,13 +313,13 @@ let broadcast t ~tag clear =
     t.charge total
   end
 
-(* A descriptor for (handle, segno) changed ("setfaults"): bump that
-   entry's generation on every CPU.  The composite key makes the bump
-   exact — other processes' entries for the same segno survive. *)
+(* A descriptor for (handle, segno) changed ("setfaults"): drop that
+   entry on every CPU.  The exact key makes the drop exact — other
+   processes' entries for the same segno survive. *)
 let connect_invalidate t ~handle ~segno =
   let key = cam_key ~handle ~segno in
-  broadcast t ~tag:(Printf.sprintf "inval:%d" key) (fun c ->
-      Hardware.Assoc.invalidate c.cam ~segno:key)
+  broadcast t ~tag:(Printf.sprintf "inval:%d:%d" handle segno) (fun c ->
+      if key >= 0 then Hardware.Assoc.invalidate c.cam ~segno:key)
 
 (* Whole-system revocation (salvage, cache clear): flush every CPU's
    CAM and PTW front outright. *)
@@ -352,9 +357,12 @@ let pending_connects t = List.rev_map (fun (cpu, tag, _) -> (cpu, tag)) t.pendin
 
 (* ----- Read-only cache enumeration (for the model checker) ----- *)
 
-let cam_entries t ~cpu = Hardware.Assoc.entries t.cpus.(cpu).cam
+let cam_entries t ~cpu =
+  List.map
+    (fun (key, sdw) -> ((key / segno_limit, key mod segno_limit), sdw))
+    (Hardware.Assoc.entries t.cpus.(cpu).cam)
+
 let ptw_keys t ~cpu = List.map fst (Avc.entries t.cpus.(cpu).ptw)
-let split_cam_key key = (key lsr segno_bits, key land ((1 lsl segno_bits) - 1))
 
 (* ----- The per-CPU mediation fronts ----- *)
 
@@ -365,10 +373,14 @@ let split_cam_key key = (key lsr segno_bits, key land ((1 lsl segno_bits) - 1))
    per-process memory and then the KST, installing the descriptor in
    both on the way back.  Soundness: entries die via connects in the
    same step as any descriptor change, so the CAM can never replay a
-   revoked SDW. *)
+   revoked SDW; and a key names one (process, segno) only, so it can
+   never replay another segment's.  A pair with no key takes the
+   uniprocessor path. *)
 let check_sdw t ~handle ~segno ~assoc ~fetch ~ring ~operation =
   let c = t.cpus.(t.current) in
   let key = cam_key ~handle ~segno in
+  if key < 0 then Hardware.check_via_assoc assoc ~segno ~fetch ~ring ~operation
+  else
   match Hardware.Assoc.lookup c.cam ~segno:key with
   | Some sdw -> Some (Hardware.check sdw ~ring ~operation)
   | None -> (
@@ -400,7 +412,7 @@ let ptw_touch t ~page =
   match Avc.find c.ptw key with
   | Some () -> true
   | None ->
-      Avc.add c.ptw ~obj:key key ();
+      Avc.add c.ptw key ();
       false
 
 (* ----- Dispatcher lock -----

@@ -114,7 +114,7 @@ val cpu_for : t -> key:int -> int
     Both calls return only after every CPU has been cleared. *)
 
 val connect_invalidate : t -> handle:int -> segno:int -> unit
-(** "setfaults" for one process's descriptor: bump its entry on every
+(** "setfaults" for one process's descriptor: drop its entry on every
     CPU (the originator inline, the rest via connects). *)
 
 val connect_flush_all : t -> unit
@@ -148,16 +148,12 @@ val pending_connects : t -> (int * string) list
     For the checker's invariant walk: what would currently hit, with
     no counter movement. *)
 
-val cam_entries : t -> cpu:int -> (int * Sdw.t) list
-(** Fresh entries of that CPU's SDW associative memory, keyed by the
-    composite [(handle, segno)] key — decompose with
-    {!split_cam_key}. *)
+val cam_entries : t -> cpu:int -> ((int * int) * Sdw.t) list
+(** Fresh entries of that CPU's SDW associative memory, keyed by their
+    exact [(handle, segno)] pair. *)
 
 val ptw_keys : t -> cpu:int -> int list
 (** Fresh page-SID keys of that CPU's PTW lookaside front. *)
-
-val split_cam_key : int -> int * int
-(** [(handle, segno)] from a composite CAM key. *)
 
 (** {1 Per-CPU mediation fronts} *)
 
@@ -173,9 +169,10 @@ val check_sdw :
 (** The current CPU's CAM in front of the per-process associative
     memory and the KST fetch.  Brackets and mode are still checked per
     reference; only the descriptor fetch is skipped on a hit.  CAM
-    entries are keyed by the dense composite [(handle, segno)] pair —
-    the hardware's own SID space — so two processes' descriptors can
-    never be confused. *)
+    entries are keyed by the exact [(handle, segno)] pair, so no two
+    descriptors — of two processes, or two segnos of one — can ever be
+    confused.  A pair outside [0 <= handle < 2^30], [0 <= segno < 2^32]
+    never touches the CAM: it goes straight to [assoc] and [fetch]. *)
 
 val ptw_touch : t -> page:Multics_access.Sid.t -> bool
 (** Touch the current CPU's PTW front for a dense page SID (from

@@ -74,4 +74,9 @@ module Counters = struct
   let to_alist t =
     Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let of_tallies tallies =
+    let t = create () in
+    List.iter (fun (name, n) -> if n <> 0 then incr t name ~by:n) tallies;
+    t
 end

@@ -31,4 +31,9 @@ module Counters : sig
 
   val to_alist : t -> (string * int) list
   (** Sorted by counter name. *)
+
+  val of_tallies : (string * int) list -> t
+  (** A bag of the given event tallies, each nonzero one under its
+      name: a tally still at 0 is absent, as if its counter had never
+      been bumped. *)
 end

@@ -29,9 +29,9 @@ module Avc = Multics_cache.Avc
 module Sid = Multics_access.Sid
 
 (* Observability: page control's live counters mirror the per-instance
-   [counters] bag but land in the global registry, where the shell's
-   [stats] command and the experiment [--stats] snapshots can see them
-   next to the gate and IPC numbers. *)
+   tallies but land in the global registry, where the shell's [stats]
+   command and the experiment [--stats] snapshots can see them next to
+   the gate and IPC numbers. *)
 let obs_faults = Obs.Local.counter "vm.faults"
 let obs_zero_fills = Obs.Local.counter "vm.zero_fills"
 let obs_page_ins = Obs.Local.counter "vm.page_ins"
@@ -77,20 +77,23 @@ type t = {
   mutable core_freer_pid : Sim.pid option;
   mutable bulk_freer_pid : Sim.pid option;
   mutable fault_inj : Multics_fault.Fault.Injector.t option;
-  counters : Multics_util.Stats.Counters.t;
+  (* Per-instance event tallies; [counters] renders them on demand. *)
+  mutable n_faults : int;
+  mutable n_page_ins : int;
+  mutable n_zero_fills : int;
+  mutable n_core_to_bulk : int;
+  mutable n_bulk_to_disk : int;
   (* The PTW lookaside: pages known core-resident, so a repeat
      reference skips the page-table walk ([Cost.ptw_fetch]).  Sound
      because the only paths that move a page out of core — the eviction
      pushes below — invalidate the victim's entry in the same step.
 
-     Keyed by dense page SIDs, not hashed page ids: a page id is
-     interned once (on its first reference) and the cache then works
-     on small ints with an identity hash.  Dense SIDs also keep the
-     shared generation counters in [Gen]'s dense array — hashed ids
-     landed in the sparse table and churned it toward epoch
-     compactions (system-wide miss storms) on long runs. *)
+     Keyed by dense page SIDs: a page id is interned once (on its first
+     reference) and the cache then works on small ints.  The SID is
+     also the object id of the generation counter the eviction bumps,
+     which [Gen] keeps in a dense array indexed by it. *)
   page_sids : Page_id.t Sid.Map.t;
-  ptw : (int, unit) Avc.t;
+  ptw : unit Avc.t;
 }
 
 (* The page's dense SID — interned on first sight, stable for the
@@ -166,9 +169,13 @@ let create ?(core_target = 2) ?(bulk_target = 2) ?(zero_fill_cycles = 300) ?faul
       core_freer_pid = None;
       bulk_freer_pid = None;
       fault_inj = faults;
-      counters = Multics_util.Stats.Counters.create ();
+      n_faults = 0;
+      n_page_ins = 0;
+      n_zero_fills = 0;
+      n_core_to_bulk = 0;
+      n_bulk_to_disk = 0;
       page_sids = Sid.Map.create ~hash:Page_id.hash ~equal:Page_id.equal ();
-      ptw = Avc.create ~capacity:64 ~hash:(fun sid -> sid) ~equal:Int.equal ~name:"vm.ptw" ();
+      ptw = Avc.create ~capacity:64 ~name:"vm.ptw" ();
     }
   in
   t.victim_policy <- default_policy t;
@@ -178,7 +185,15 @@ let set_victim_policy t policy = t.victim_policy <- policy
 
 let set_faults t faults = t.fault_inj <- faults
 
-let counters t = t.counters
+let counters t =
+  Multics_util.Stats.Counters.of_tallies
+    [
+      ("faults", t.n_faults);
+      ("page_in", t.n_page_ins);
+      ("zero_fill", t.n_zero_fills);
+      ("core_to_bulk", t.n_core_to_bulk);
+      ("bulk_to_disk", t.n_bulk_to_disk);
+    ]
 
 let memory t = t.mem
 
@@ -208,7 +223,7 @@ let push_bulk_page_to_disk t =
   | Some victim -> (
       match Memory.transfer t.mem victim ~dest:Level.Disk with
       | Ok (_, cost) ->
-          Multics_util.Stats.Counters.incr t.counters "bulk_to_disk";
+          t.n_bulk_to_disk <- t.n_bulk_to_disk + 1;
           Obs.Counter.incr (obs_bulk_to_disk ());
           (* Write parity error on the disk copy: the page is written
              again; the first (bad) attempt is pure wasted cost. *)
@@ -235,7 +250,7 @@ let push_core_page_to_bulk t =
           (* The victim leaves core: its lookaside entry dies now, not
              when someone notices — same discipline as the AVC. *)
           Avc.invalidate_object t.ptw (ptw_key t victim);
-          Multics_util.Stats.Counters.incr t.counters "core_to_bulk";
+          t.n_core_to_bulk <- t.n_core_to_bulk + 1;
           Obs.Counter.incr (obs_core_to_bulk ());
           (* Eviction failure: the bulk-store write is lost and redone
              once, unconditionally — retries never re-consult the plan. *)
@@ -259,7 +274,7 @@ let page_in t page =
       match Memory.place t.mem page ~level:Level.Core with
       | Ok _ ->
           Sim.compute t.zero_fill_cycles;
-          Multics_util.Stats.Counters.incr t.counters "zero_fill";
+          t.n_zero_fills <- t.n_zero_fills + 1;
           Obs.Counter.incr (obs_zero_fills ());
           true
       | Error _ -> false)
@@ -274,7 +289,7 @@ let page_in t page =
             Sim.compute cost
           end;
           Sim.compute cost;
-          Multics_util.Stats.Counters.incr t.counters "page_in";
+          t.n_page_ins <- t.n_page_ins + 1;
           Obs.Counter.incr (obs_page_ins ());
           true
       | Error _ -> false)
@@ -344,7 +359,7 @@ let start t =
 
 let record_fault t record =
   t.faults <- record :: t.faults;
-  Multics_util.Stats.Counters.incr t.counters "faults";
+  t.n_faults <- t.n_faults + 1;
   if Obs.enabled () then begin
     Obs.Counter.incr (obs_faults ());
     Obs.Histogram.observe (obs_fault_latency ()) record.latency;
@@ -374,7 +389,7 @@ let reference ?(write = false) t ~pid ~page =
        install the PTW, as the 6180 does on an associative miss. *)
     Sim.compute
       (cost.Multics_machine.Cost.memory_reference + cost.Multics_machine.Cost.ptw_fetch);
-    Avc.add t.ptw ~obj:sid sid ();
+    Avc.add t.ptw sid ();
     if write then Memory.dirty t.mem page else Memory.touch t.mem page;
     0
   end
@@ -407,7 +422,7 @@ let reference ?(write = false) t ~pid ~page =
       else settle () (* lost the free frame to a racing faulter *)
     in
     settle ();
-    Avc.add t.ptw ~obj:sid sid ();
+    Avc.add t.ptw sid ();
     if write then Memory.dirty t.mem page else Memory.touch t.mem page;
     (* Keep the freer running ahead of demand. *)
     (match t.discipline with
@@ -442,12 +457,12 @@ let ptw_gens t = Avc.gens t.ptw
    SIDs; the registry maps them back to the page ids they name. *)
 let check_ptw_invariant t =
   List.for_all
-    (fun sid ->
+    (fun (sid, ()) ->
       let page = Sid.Map.value t.page_sids (Sid.of_int sid) in
       match Memory.location t.mem page with
       | Some block -> Level.equal (Block.level block) Level.Core
       | None -> false)
-    (Avc.keys t.ptw)
+    (Avc.entries t.ptw)
 
 (* ----- Reporting ----- *)
 

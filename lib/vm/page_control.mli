@@ -52,14 +52,19 @@ val set_victim_policy : t -> victim_policy -> unit
 
 val memory : t -> Memory.t
 val counters : t -> Multics_util.Stats.Counters.t
+(** The event tallies as a fresh named counter bag: [faults],
+    [page_in], [zero_fill], [core_to_bulk] and [bulk_to_disk].  A
+    tally still at zero is absent from
+    {!Multics_util.Stats.Counters.to_alist} and reads 0 through
+    {!Multics_util.Stats.Counters.get}. *)
 
 (** {1 The PTW lookaside}
 
     A {!Multics_cache.Avc}-backed cache of pages known core-resident,
     keyed by dense page SIDs ({!Multics_access.Sid.t}): a page id is
     interned once on first reference and the cache then works on small
-    ints with an identity hash, which also keeps the shared generation
-    counters dense (no sparse-table compaction storms).  A hit skips
+    ints, which are also the ids of the shared generation counters
+    (one dense array).  A hit skips
     the page-table walk ([Cost.ptw_fetch]); eviction invalidates the
     victim's entry in the same step it leaves core.  Obs counters
     under ["cache.vm.ptw.*"]. *)

@@ -20,7 +20,7 @@ let test_avc_basics () =
   Obs.set_enabled true;
   let c = Avc.create ~capacity:8 ~name:"t.basics" () in
   Alcotest.(check (option int)) "miss before add" None (Avc.find c 1);
-  Avc.add c ~obj:1 1 10;
+  Avc.add c 1 10;
   Alcotest.(check (option int)) "hit after add" (Some 10) (Avc.find c 1);
   Alcotest.(check int) "size" 1 (Avc.size c);
   Alcotest.(check int) "one hit" 1 (counter_of c "hits");
@@ -29,28 +29,48 @@ let test_avc_basics () =
 let test_avc_invalidate_object () =
   Obs.set_enabled true;
   let c = Avc.create ~capacity:8 ~name:"t.inv_obj" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
+  Avc.add c 1 10;
+  Avc.add c 2 20;
   Avc.invalidate_object c 1;
   Alcotest.(check (option int)) "stale entry dropped" None (Avc.find c 1);
   Alcotest.(check (option int)) "other object unaffected" (Some 20) (Avc.find c 2);
   Alcotest.(check int) "invalidation counted" 1 (counter_of c "invalidations");
-  Avc.add c ~obj:1 1 11;
+  Avc.add c 1 11;
   Alcotest.(check (option int)) "re-add after invalidation hits" (Some 11) (Avc.find c 1)
 
 let test_avc_invalidate_all () =
   Obs.set_enabled true;
   let c = Avc.create ~capacity:8 ~name:"t.inv_all" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
-  Avc.invalidate_all c;
+  Avc.add c 1 10;
+  Avc.add c 2 20;
+  Avc.Gen.bump_global (Avc.gens c);
   Alcotest.(check (option int)) "entry 1 dead" None (Avc.find c 1);
   Alcotest.(check (option int)) "entry 2 dead" None (Avc.find c 2)
+
+(* Setfaults drops exactly the key's own entry: not the other key that
+   shares its slot, not a neighbour, and nothing when the slot holds
+   another key. *)
+let test_avc_invalidate_key () =
+  Obs.set_enabled true;
+  let c = Avc.create ~capacity:8 ~name:"t.inv_key" () in
+  Avc.add c 1 10;
+  Avc.add c 2 20;
+  Avc.invalidate c 1;
+  Alcotest.(check (option int)) "dropped at once" None (Avc.find c 1);
+  Alcotest.(check (option int)) "neighbour survives" (Some 20) (Avc.find c 2);
+  Alcotest.(check int) "one invalidation" 1 (counter_of c "invalidations");
+  Alcotest.(check int) "population" 1 (Avc.size c);
+  Avc.invalidate c 10;
+  Alcotest.(check (option int)) "slot-sharing key's entry survives" (Some 20) (Avc.find c 2);
+  Alcotest.(check int) "nothing dropped" 1 (counter_of c "invalidations");
+  Alcotest.(check int) "population unchanged" 1 (Avc.size c);
+  Alcotest.check_raises "negative key refused"
+    (Invalid_argument "Avc.Gen: negative object id -3") (fun () -> Avc.add c (-3) 0)
 
 let test_avc_flush_probe () =
   Obs.set_enabled true;
   let c = Avc.create ~capacity:8 ~name:"t.probe" () in
-  Avc.add c ~obj:1 1 10;
+  Avc.add c 1 10;
   let armed = ref false in
   Avc.set_flush_probe c (Some (fun () -> !armed));
   Alcotest.(check (option int)) "probe quiet: hit" (Some 10) (Avc.find c 1);
@@ -61,86 +81,58 @@ let test_avc_flush_probe () =
 
 let test_avc_direct_mapped_displacement () =
   Obs.set_enabled true;
-  (* Force every key into one slot: displacement must evict the
-     resident entry, and equality must keep a collision from ever
-     being served as a hit. *)
-  let c = Avc.create ~capacity:4 ~hash:(fun _ -> 0) ~equal:Int.equal ~name:"t.collide" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
+  (* Keys 1 and 5 share a slot of a 4-slot table: displacement must
+     evict the resident entry, and the key compare must keep a
+     collision from ever being served as a hit. *)
+  let c = Avc.create ~capacity:4 ~name:"t.collide" () in
+  Avc.add c 1 10;
+  Avc.add c 5 50;
   Alcotest.(check (option int)) "displaced entry is a miss" None (Avc.find c 1);
-  Alcotest.(check (option int)) "resident entry hits" (Some 20) (Avc.find c 2);
+  Alcotest.(check (option int)) "resident entry hits" (Some 50) (Avc.find c 5);
   Alcotest.(check int) "population stays 1" 1 (Avc.size c)
 
 let test_avc_capacity_rounding () =
+  (* 10 slots round up to 16: keys 0 and 10 both fit, 0 and 16 share
+     a slot. *)
   let c = Avc.create ~capacity:10 ~name:"t.cap" () in
-  Alcotest.(check int) "rounded to power of two" 16 (Avc.capacity c)
-
-let test_avc_find_or_add () =
-  Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.foa" () in
-  let computes = ref 0 in
-  let compute () = incr computes; 42 in
-  Alcotest.(check (pair int bool)) "first computes" (42, false) (Avc.find_or_add c ~obj:1 1 compute);
-  Alcotest.(check (pair int bool)) "second hits" (42, true) (Avc.find_or_add c ~obj:1 1 compute);
-  Alcotest.(check int) "computed once" 1 !computes
+  Avc.add c 0 1;
+  Avc.add c 10 2;
+  Alcotest.(check int) "0 and 10 coexist" 2 (Avc.size c);
+  Avc.add c 16 3;
+  Alcotest.(check (option int)) "16 displaced 0" None (Avc.find c 0);
+  Alcotest.(check int) "rounded to power of two" 2 (Avc.size c)
 
 let test_avc_keys_skip_stale () =
   let c = Avc.create ~capacity:8 ~name:"t.keys" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
+  Avc.add c 1 10;
+  Avc.add c 2 20;
   Avc.invalidate_object c 2;
-  Alcotest.(check (list int)) "only fresh keys" [ 1 ] (List.sort compare (Avc.keys c))
+  Alcotest.(check (list (pair int int))) "only fresh entries" [ (1, 10) ]
+    (List.sort compare (Avc.entries c))
 
-let test_gen_sparse_and_dense_ids () =
-  (* Small non-negative ids take the dense-array path; huge or negative
-     ids (hashed page ids) take the hashtable fallback.  Both must
-     count bumps correctly. *)
+(* ----- Generation counters ----- *)
+
+let test_gen_dense_ids () =
+  (* Object ids index one dense array, grown on the first bump past its
+     end; an id it does not cover reads generation 0.  Negative ids
+     are refused. *)
   let g = Avc.Gen.create () in
-  Alcotest.(check int) "unbumped dense id" 0 (Avc.Gen.of_object g 3);
+  Alcotest.(check int) "unbumped id" 0 (Avc.Gen.of_object g 3);
   Avc.Gen.bump_object g 3;
   Avc.Gen.bump_object g 3;
-  Alcotest.(check int) "dense id bumped twice" 2 (Avc.Gen.of_object g 3);
-  Alcotest.(check int) "dense id beyond initial array" 0 (Avc.Gen.of_object g 5_000);
+  Alcotest.(check int) "id bumped twice" 2 (Avc.Gen.of_object g 3);
+  Alcotest.(check int) "id beyond the array" 0 (Avc.Gen.of_object g 5_000);
   Avc.Gen.bump_object g 5_000;
-  Alcotest.(check int) "grown dense id" 1 (Avc.Gen.of_object g 5_000);
-  Avc.Gen.bump_object g (-7);
-  Alcotest.(check int) "negative id via fallback" 1 (Avc.Gen.of_object g (-7));
-  Avc.Gen.bump_object g max_int;
-  Alcotest.(check int) "huge id via fallback" 1 (Avc.Gen.of_object g max_int);
+  Alcotest.(check int) "grown id" 1 (Avc.Gen.of_object g 5_000);
+  Alcotest.(check int) "growth kept earlier bumps" 2 (Avc.Gen.of_object g 3);
+  Alcotest.(check int) "huge id reads 0" 0 (Avc.Gen.of_object g max_int);
+  Alcotest.check_raises "negative read refused"
+    (Invalid_argument "Avc.Gen: negative object id -7") (fun () ->
+      ignore (Avc.Gen.of_object g (-7)));
+  Alcotest.check_raises "negative bump refused"
+    (Invalid_argument "Avc.Gen: negative object id -7") (fun () -> Avc.Gen.bump_object g (-7));
   Avc.Gen.bump_global g;
   Alcotest.(check int) "global independent" 1 (Avc.Gen.global g)
-
-let test_gen_sparse_table_bounded () =
-  (* The long-run leak: hashed page ids churn forever (objects die,
-     ids are never reused), so without pruning the sparse table grows
-     without bound.  Churn 10^5 distinct hashed ids and demand the
-     table stays within its limit, compacting as it goes. *)
-  let churn = 100_000 in
-  let hashed i = (1 lsl 16) + i in
-  let c = Avc.create ~capacity:16 ~hash:(fun k -> k) ~equal:Int.equal ~name:"t.gen_churn" () in
-  let g = Avc.gens c in
-  (* A verdict revoked before the churn must stay revoked across every
-     compaction: a compaction resets the per-object counter the entry
-     was stamped against, which would resurrect it were the global
-     epoch not bumped first. *)
-  let victim = hashed (churn + 1) in
-  Avc.add c ~obj:victim victim 99;
-  Alcotest.(check (option int)) "victim cached" (Some 99) (Avc.find c victim);
-  Avc.invalidate_object c victim;
-  for i = 0 to churn - 1 do
-    Avc.Gen.bump_object g (hashed i)
-  done;
-  Alcotest.(check bool) "sparse table bounded" true
-    (Avc.Gen.sparse_size g <= Avc.Gen.sparse_limit);
-  let floor = (churn / Avc.Gen.sparse_limit) - 1 in
-  Alcotest.(check bool)
-    (Printf.sprintf "compactions happened (>= %d)" floor)
-    true
-    (Avc.Gen.compactions g >= floor);
-  Alcotest.(check (option int)) "revoked verdict never resurrected" None (Avc.find c victim);
-  (* The cache still works after compaction: fresh entries hit. *)
-  Avc.add c ~obj:victim victim 7;
-  Alcotest.(check (option int)) "fresh entry after compaction hits" (Some 7) (Avc.find c victim)
 
 (* ----- Revocation through every mutating entry point ----- *)
 
@@ -448,13 +440,12 @@ let suite =
     Alcotest.test_case "avc: find/add basics" `Quick test_avc_basics;
     Alcotest.test_case "avc: invalidate object" `Quick test_avc_invalidate_object;
     Alcotest.test_case "avc: invalidate all" `Quick test_avc_invalidate_all;
+    Alcotest.test_case "avc: setfaults clears only the key's slot" `Quick test_avc_invalidate_key;
     Alcotest.test_case "avc: flush probe storms" `Quick test_avc_flush_probe;
     Alcotest.test_case "avc: direct-mapped displacement" `Quick test_avc_direct_mapped_displacement;
     Alcotest.test_case "avc: capacity rounds to power of two" `Quick test_avc_capacity_rounding;
-    Alcotest.test_case "avc: find_or_add computes once" `Quick test_avc_find_or_add;
     Alcotest.test_case "avc: keys skip stale entries" `Quick test_avc_keys_skip_stale;
-    Alcotest.test_case "gen: dense and sparse object ids" `Quick test_gen_sparse_and_dense_ids;
-    Alcotest.test_case "gen: sparse table bounded under churn" `Quick test_gen_sparse_table_bounded;
+    Alcotest.test_case "gen: dense ids; negative refused" `Quick test_gen_dense_ids;
     Alcotest.test_case "revocation: set_acl" `Quick test_set_acl_revokes;
     Alcotest.test_case "revocation: raw_set_label" `Quick test_raw_set_label_revokes;
     Alcotest.test_case "revocation: delete" `Quick test_delete_revokes;
@@ -462,7 +453,7 @@ let suite =
       test_set_brackets_applies_on_cached_path;
     Alcotest.test_case "revocation: rename keeps parity" `Quick test_rename_keeps_parity;
     Alcotest.test_case "salvage invalidates cached verdicts" `Quick test_salvage_invalidates_caches;
-    Alcotest.test_case "parity: 100 seeds incl. flush storms" `Quick test_parity_100_seeds;
     Alcotest.test_case "revocation: building ACLs or booting revokes nothing" `Quick
       test_acl_construction_revokes_nothing;
+    Alcotest.test_case "parity: 100 seeds incl. flush storms" `Quick test_parity_100_seeds;
   ]

@@ -22,7 +22,10 @@
    refusals included, the compiled AV table agrees with fresh policy
    for every segment any live process knows, so the generated ACL,
    bracket, delete, salvage and cache-clear streams exercise the one
-   revocation path: the per-object epochs. *)
+   revocation path: the per-object epochs.  A second leg runs each
+   stream on twin kernels, one under a 2-CPU plant, and holds every
+   reply and audit record equal: the per-CPU associative memories may
+   answer a reference, never change its answer. *)
 
 open Multics_access
 open Multics_kernel
@@ -217,13 +220,27 @@ let hostile_int =
       ])
 
 (* Segment numbers: the caller's real home and segment two times in
-   three, so hostile offsets and values reach the content path. *)
+   three, so hostile offsets and values reach the content path; else a
+   known segno moved by a multiple of 4096, with bit 32 set, or negated
+   (the segnos a CAM key that kept fewer bits would confuse with a
+   known one), or a hostile int. *)
 let hostile_segno =
+  let known = List.concat_map (fun (_, _, home, seg) -> [ home; seg ]) booted in
   QCheck.Gen.(
     frequency
       [
-        (2, oneofl (List.concat_map (fun (_, _, home, seg) -> [ home; seg ]) booted));
+        (6, oneofl known);
         (1, hostile_int);
+        ( 2,
+          map3
+            (fun segno k alias ->
+              match alias with
+              | `Shift -> segno + (k * 4096)
+              | `Bit32 -> segno lor (1 lsl 32)
+              | `Negate -> -segno)
+            (oneofl known)
+            (oneofl [ -2; -1; 1; 2 ])
+            (oneofl [ `Shift; `Shift; `Bit32; `Negate ]) );
       ])
 
 let hostile_name =
@@ -408,8 +425,11 @@ let av_divergence system =
             (Multics_fs.Kst.known_segnos p.System.kst))
     (System.handles system)
 
-let run_case (config, steps) =
-  let system, alice, _, _ = boot ~config () in
+(* One hostile stream's stepper on one kernel: resolves each step's
+   caller and request against that kernel (the live caller, a sibling,
+   an ended handle), dispatches it traced, and keeps a live caller
+   logged in.  A step's outcome is [Error] when dispatch raised. *)
+let stepper system alice =
   let current = ref alice and ended = ref [] in
   let relogin () =
     match System.handles system with
@@ -435,27 +455,35 @@ let run_case (config, steps) =
             h
         | None -> -1)
   in
+  fun (caller, spec) ->
+    let request =
+      match spec with
+      | Request r -> r
+      | Destroy_self -> Api.Call.Destroy_process { target = !current }
+      | Destroy_sibling -> Api.Call.Destroy_process { target = sibling () }
+    in
+    let handle = match caller with Live -> !current | Unknown h -> h | Ended -> ended_handle () in
+    let name = Api.Call.operation_name system request in
+    let before = System.handles system in
+    match traced system ~handle request with
+    | exception e -> Error (Printf.sprintf "%s from %d raised %s" name handle (Printexc.to_string e))
+    | response, records, moved ->
+        let gone = List.filter (fun h -> System.proc system h = None) before in
+        ended := gone @ !ended;
+        if System.proc system !current = None then current := relogin ();
+        Ok (request, handle, name, gone, response, records, moved)
+
+let run_case (config, steps) =
+  let system, alice, _, _ = boot ~config () in
+  let step = stepper system alice in
   List.for_all
     (fun (caller, spec) ->
-      let request =
-        match spec with
-        | Request r -> r
-        | Destroy_self -> Api.Call.Destroy_process { target = !current }
-        | Destroy_sibling -> Api.Call.Destroy_process { target = sibling () }
-      in
-      let handle = match caller with Live -> !current | Unknown h -> h | Ended -> ended_handle () in
       let subject =
         if caller = Live then "Alice.Dev.a" else "anonymous.anonymous.a"
       in
-      let name = Api.Call.operation_name system request in
-      let before = System.handles system in
-      match traced system ~handle request with
-      | exception e ->
-          QCheck.Test.fail_reportf "%s from %d raised %s" name handle (Printexc.to_string e)
-      | _, records, moved ->
-          let gone = List.filter (fun h -> System.proc system h = None) before in
-          ended := gone @ !ended;
-          if System.proc system !current = None then current := relogin ();
+      match step (caller, spec) with
+      | Error raised -> QCheck.Test.fail_report raised
+      | Ok (request, handle, name, gone, _, records, moved) ->
           let divergence = av_divergence system in
           let tallied =
             match List.rev records with call :: _ -> tallies_match system call moved | [] -> false
@@ -479,6 +507,67 @@ let hostile_dispatch =
          pair (oneofl configs) (list_size (int_range 1 25) (pair hostile_caller hostile_spec))))
     run_case
 
+(* ----- The plant leg -----
+
+   Twin kernels run the same hostile stream, one with a 2-CPU plant
+   attached (the calls alternating between its CPUs) and one without.
+   The plant may change which associative memory answers a reference,
+   never what the kernel answers: every reply and every audit record
+   must match.  The status calls are left out: [Smp_status] reports
+   the plant itself (and is refused without one), [Cache_status] the
+   cache counters both twins share. *)
+let compared = function Api.Call.Smp_status | Api.Call.Cache_status -> false | _ -> true
+
+let run_plant_case (config, steps) =
+  let plain, plain_alice, _, _ = boot ~config () in
+  let planted, planted_alice, _, _ = boot ~config () in
+  let plant = Multics_smp.Smp.create ~ncpus:2 ~cost:(Config.cost config) () in
+  System.attach_plant planted (Some plant);
+  let plain_step = stepper plain plain_alice and planted_step = stepper planted planted_alice in
+  List.for_all
+    (fun (i, step) ->
+      Multics_smp.Smp.set_current plant (i mod 2);
+      match (plain_step step, planted_step step) with
+      | Error raised, _ | _, Error raised -> QCheck.Test.fail_report raised
+      | Ok (request, _, _, _, _, _, _), _ when not (compared request) -> true
+      | ( Ok (_, handle, name, _, plain_response, plain_records, _),
+          Ok (_, _, _, _, planted_response, planted_records, _) ) ->
+          let show records =
+            String.concat "; " (List.map (Fmt.str "%a" Audit_log.pp_record) records)
+          in
+          (plain_response = planted_response && plain_records = planted_records)
+          || QCheck.Test.fail_reportf "%s from %d (%s): no plant [%s] %s, 2-CPU plant [%s] %s" name
+               handle config.Config.name (show plain_records)
+               (Result.fold ~ok:(fun _ -> "ok") ~error:Api.error_to_string plain_response)
+               (show planted_records)
+               (Result.fold ~ok:(fun _ -> "ok") ~error:Api.error_to_string planted_response))
+    (List.mapi (fun i step -> (i, step)) steps)
+
+(* Half the plant leg's calls are content references, the calls the
+   CPUs' associative memories answer. *)
+let content_spec =
+  let open QCheck.Gen in
+  let segno = hostile_segno and n = hostile_int in
+  map
+    (fun r -> Request r)
+    (oneof
+       [
+         map2 (fun segno offset -> Api.Call.Read_word { segno; offset }) segno n;
+         map3 (fun segno offset value -> Api.Call.Write_word { segno; offset; value }) segno n n;
+         map2
+           (fun segno entry_offset -> Api.Call.Enter_subsystem { segno; entry_offset; name = "s" })
+           segno n;
+       ])
+
+let hostile_plant =
+  QCheck.Test.make ~name:"hostile dispatch: a 2-CPU plant changes no reply or record" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair (oneofl configs)
+           (list_size (int_range 1 25)
+              (pair hostile_caller (frequency [ (1, hostile_spec); (1, content_spec) ])))))
+    run_plant_case
+
 let suite =
   [
     Alcotest.test_case "read past the segment bound refuses" `Quick test_read_past_bound;
@@ -489,4 +578,5 @@ let suite =
     Alcotest.test_case "an unknown caller is an audited refusal" `Quick test_unknown_caller_audited;
     Alcotest.test_case "an empty by-path name refuses" `Quick test_empty_path_refuses;
     QCheck_alcotest.to_alcotest hostile_dispatch;
+    QCheck_alcotest.to_alcotest hostile_plant;
   ]

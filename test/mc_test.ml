@@ -114,6 +114,52 @@ let test_pool_size_invisible () =
   let s jobs = Mc.summary (Mc.explore ~jobs ~depth:2 ~bug:true ()) in
   Alcotest.(check string) "jobs=1 and jobs=2 outcomes identical" (s 1) (s 2)
 
+(* A search whose frontier empties before its bound is complete: the
+   summary says so instead of claiming only the bound.  The rows are
+   the healthy plant's, explored to depth 14 (fixpoint at 11). *)
+let test_summary_reports_fixpoint () =
+  let new_states = [ 11; 59; 198; 417; 542; 446; 244; 96; 29; 5; 0 ] in
+  let outcome ~depth =
+    let rows, _, _ =
+      List.fold_left
+        (fun (rows, states, frontier) fresh ->
+          let d = List.length rows + 1 in
+          if d > depth then (rows, states, frontier)
+          else
+            ( rows
+              @ [
+                  {
+                    Mc.row_depth = d;
+                    row_new_states = fresh;
+                    row_states = states + fresh;
+                    row_expansions = 14 * frontier;
+                  };
+                ],
+              states + fresh,
+              fresh ))
+        ([], 1, 1) new_states
+    in
+    {
+      Mc.o_depth = depth;
+      o_bug = false;
+      o_states = (List.nth rows (List.length rows - 1)).Mc.row_states;
+      o_expansions = List.fold_left (fun n r -> n + r.Mc.row_expansions) 0 rows;
+      o_rows = rows;
+      o_counterexamples = [];
+    }
+  in
+  let last_line o =
+    List.nth (String.split_on_char '\n' (Mc.summary o)) (List.length o.Mc.o_rows + 3)
+  in
+  Alcotest.(check (option int)) "fixpoint found" (Some 11) (Mc.fixpoint (outcome ~depth:14));
+  Alcotest.(check string) "complete at the fixpoint"
+    "  complete: fixpoint at depth 11, 2048 reachable states, 28672 replays, 0 violations"
+    (last_line (outcome ~depth:14));
+  Alcotest.(check (option int)) "no fixpoint within depth 5" None (Mc.fixpoint (outcome ~depth:5));
+  Alcotest.(check string) "bounded search names its bound"
+    "  exhaustive to depth 5: 1228 distinct states, 9604 replays, 0 violations"
+    (last_line (outcome ~depth:5))
+
 let suite =
   [
     Alcotest.test_case "action/trace round-trip" `Quick test_action_roundtrip;
@@ -124,4 +170,5 @@ let suite =
     Alcotest.test_case "healthy plant explores clean" `Quick test_healthy_explore_clean;
     Alcotest.test_case "bug plant yields the minimal window" `Quick test_bug_explore_finds_window;
     Alcotest.test_case "frontier pool size is invisible" `Quick test_pool_size_invisible;
+    Alcotest.test_case "summary reports a fixpoint" `Quick test_summary_reports_fixpoint;
   ]

@@ -128,7 +128,7 @@ let test_av_compute_matches_policy () =
 
 let test_av_table_stamps_and_growth () =
   let gens = Multics_cache.Avc.Gen.create () in
-  let t = Av_table.create ~subjects:1 ~objects:2 ~gens ~name:"test.avtab" () in
+  let t = Av_table.create ~gens ~name:"test.avtab" () in
   let s0 = subject "Alice" Label.Secret [] in
   let subj = Av_table.subject_sid t s0 in
   Alcotest.(check int) "cold miss" (-1) (Av_table.find t ~subj ~obj:5);

@@ -301,6 +301,70 @@ let test_multi_cpu_run_deterministic () =
   Alcotest.(check int) "same digest" a.Workload.r_signature b.Workload.r_signature;
   Alcotest.(check int) "same faults" a.Workload.r_page_faults b.Workload.r_page_faults
 
+(* ----- CAM keys are exact -----
+
+   A process that knows more than 4,088 segments has segnos 4096 apart.
+   A per-CPU CAM key that kept only a segno's low 12 bits gave such a
+   pair one key, so a write to a read-only segment replayed the rw
+   descriptor of the segment 4096 below it: granted under a plant,
+   refused without one.  The write must be refused with the same error
+   at every plant size. *)
+
+let aliased_write ?ncpus () =
+  let system = System.create Config.kernel_6180 in
+  Option.iter
+    (fun n ->
+      let plant = Smp.create ~ncpus:n ~cost:Cost.h6180 () in
+      Smp.set_current plant (n - 1);
+      System.attach_plant system (Some plant))
+    ncpus;
+  ignore
+    (System.add_account system ~person:"Alice" ~project:"Dev" ~password:"pw"
+       ~clearance:Label.unclassified);
+  let handle =
+    match System.login system ~person:"Alice" ~project:"Dev" ~password:"pw" with
+    | Ok h -> h
+    | Error e -> Alcotest.fail (System.login_error_to_string e)
+  in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" what (Api.error_to_string e)
+  in
+  let home =
+    match User_env.resolve_path system ~handle ~path:">udd>Dev>Alice" with
+    | Ok segno -> segno
+    | Error e -> Alcotest.fail (User_env.error_to_string e)
+  in
+  ok "quota" (Gate_calls.set_quota system ~handle ~segno:home ~quota:(Some max_int));
+  let create name mode =
+    ok name
+      (Gate_calls.create_segment system ~handle ~dir_segno:home ~name
+         ~acl:(Acl.of_strings [ ("Alice.Dev.*", mode) ])
+         ~label:Label.unclassified)
+  in
+  let rw = create "rw" "rw" in
+  let rec read_only i =
+    let segno = create (Printf.sprintf "r%d" i) "r" in
+    if segno < rw + 4096 then read_only (i + 1) else segno
+  in
+  let ro = read_only 0 in
+  Alcotest.(check int) "read-only segment 4096 above the rw one" (rw + 4096) ro;
+  ok "write rw" (Gate_calls.write_word system ~handle ~segno:rw ~offset:0 ~value:1);
+  match Gate_calls.write_word system ~handle ~segno:ro ~offset:0 ~value:1 with
+  | Ok () -> "GRANTED"
+  | Error e -> Api.error_to_string e
+
+let test_cam_keys_exact () =
+  let expected = aliased_write () in
+  Alcotest.(check string) "no plant refuses" "hardware: missing permission w" expected;
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d-CPU plant refuses alike" n)
+        expected
+        (aliased_write ~ncpus:n ()))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "lock contention model" `Quick test_lock_contention_model;
@@ -315,4 +379,6 @@ let suite =
     Alcotest.test_case "coherence parity, 100 seeds x {1,2,4} CPUs" `Slow test_parity_100_seeds;
     Alcotest.test_case "coherence parity under fault storm" `Quick test_parity_under_fault_storm;
     Alcotest.test_case "multi-CPU run deterministic" `Quick test_multi_cpu_run_deterministic;
+    Alcotest.test_case "CAM keys are exact: no aliasing 4096 segnos apart" `Quick
+      test_cam_keys_exact;
   ]
