@@ -11,15 +11,19 @@
    SELinux access-vector-table arrangement applied to the paper's
    kernel.
 
-   Revocation correctness is inherited, not re-proven: every cell is
-   stamped with the same {!Multics_cache.Avc.Gen} epoch counters that
-   governed the PR-3 verdict cache.  An ACL edit, label change,
-   bracket change, delete, rename or salvage bumps a counter exactly
-   as before, and a stamped cell whose counters moved reads as empty —
-   the table is "rebuilt incrementally" by lazy refill on the next
-   reference (an eager [rebuild] exists for measurement and for
-   warming).  A stale Permit therefore cannot outlive the authority
-   that granted it, by the same argument as before.
+   Revocation is by generation stamps, and this table is their only
+   user.  One ACL edit, label change, bracket change, delete, rename or
+   salvage must revoke a whole column of cells (every subject's
+   decision about that object) in the same step; clearing them one by
+   one would cost a row walk per edit.  So every cell is stamped with
+   the global and per-object generations current when it was compiled,
+   [note_change] bumps the object's, [revoke_all] the global one, and
+   a cell whose stamps no longer match reads as empty — the table is
+   "rebuilt incrementally" by lazy refill on the next reference (an
+   eager [rebuild] exists for measurement and for warming).  A stale
+   Permit therefore cannot outlive the authority that granted it.  The
+   slot caches ([Multics_cache.Avc]) need no stamps: each of their
+   revocations names one key, which setfaults clears directly.
 
    The bit encoding is sound because permission is conjunctive per
    mode bit: [Policy.check] refuses iff some requested bit lacks its
@@ -35,7 +39,27 @@
 
 open Multics_machine
 module Obs = Multics_obs.Obs
-module Gen = Multics_cache.Avc.Gen
+
+(* Generation counters.  [of_object] sits on the hit path of every
+   lookup, so the per-object counters are one dense array indexed by
+   the object id (uids are small dense ints, never reused).  It starts
+   empty and grows geometrically on the first bump past its end; an id
+   it does not cover was never bumped, hence generation 0.  It has no
+   cap: one word per id up to the largest id ever bumped. *)
+module Gen = struct
+  type t = { mutable global : int; mutable dense : int array }
+
+  let of_object t obj = if obj < Array.length t.dense then t.dense.(obj) else 0
+
+  let bump_object t obj =
+    if obj < 0 then invalid_arg (Printf.sprintf "Av_table: negative object id %d" obj);
+    if obj >= Array.length t.dense then begin
+      let grown = Array.make (max (obj + 1) (max 16 (2 * Array.length t.dense))) 0 in
+      Array.blit t.dense 0 grown 0 (Array.length t.dense);
+      t.dense <- grown
+    end;
+    t.dense.(obj) <- t.dense.(obj) + 1
+end
 
 (* ----- Access-vector bits ----- *)
 
@@ -92,26 +116,27 @@ type t = {
   mutable g_obj : int array;  (** per-cell object stamp *)
   mutable max_obj : int;  (** highest uid ever cached, bounds the size scan *)
   mutable flush_probe : (unit -> bool) option;
-  hits : Obs.Counter.t;
-  misses : Obs.Counter.t;
-  invalidations : Obs.Counter.t;
-  insertions : Obs.Counter.t;
-  flushes : Obs.Counter.t;
+  obs : Obs.Counter.t array;  (** "cache.<name>.<field>", shared by name *)
+  tally : int array;  (** this table's own readings, per field *)
 }
 
-let counter name field =
-  Obs.Registry.counter (Obs.Registry.global ()) (Printf.sprintf "cache.%s.%s" name field)
+(* The five events, named as in [Multics_cache.Avc]. *)
+let fields = [| "hits"; "misses"; "invalidations"; "insertions"; "flushes" |]
+let ev_hit = 0
+let ev_miss = 1
+let ev_invalidation = 2
+let ev_insertion = 3
+let ev_flush = 4
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
 (* The table starts at 16 rows of 256 cells and grows geometrically
    (see [grow]) to what the hierarchy actually mediates. *)
-let create ?gens ~name () =
-  let gens = match gens with Some g -> g | None -> Gen.create () in
+let create ~name () =
   let rows = 16 and cols = 256 in
   let cells = rows * cols in
   {
-    gens;
+    gens = { Gen.global = 0; dense = [||] };
     sids = Policy.Subject_sids.create ();
     rows;
     cols;
@@ -120,22 +145,34 @@ let create ?gens ~name () =
     g_obj = Array.make cells 0;
     max_obj = -1;
     flush_probe = None;
-    hits = counter name "hits";
-    misses = counter name "misses";
-    invalidations = counter name "invalidations";
-    insertions = counter name "insertions";
-    flushes = counter name "flushes";
+    obs =
+      Array.map
+        (fun field ->
+          Obs.Registry.counter (Obs.Registry.global ()) (Printf.sprintf "cache.%s.%s" name field))
+        fields;
+    tally = Array.make (Array.length fields) 0;
   }
 
 let subject_sid t subject = Policy.Subject_sids.sid_of t.sids subject
 let subject_count t = Policy.Subject_sids.count t.sids
 let set_flush_probe t probe = t.flush_probe <- probe
 
-let incr c = if Obs.enabled () then Obs.Counter.incr c
+(* One branch when obs is off; when on, the shared counter and the
+   table's own tally move together. *)
+let note t ev =
+  if Obs.enabled () then begin
+    Obs.Counter.incr (Array.unsafe_get t.obs ev);
+    Array.unsafe_set t.tally ev (Array.unsafe_get t.tally ev + 1)
+  end
+
+(* Revocation: an access-relevant change to object [obj] stales its
+   column; [revoke_all] stales every cell. *)
+let note_change t obj = Gen.bump_object t.gens obj
+let revoke_all t = t.gens.global <- t.gens.global + 1
 
 let flush t =
   Array.fill t.g_global 0 (Array.length t.g_global) (-1);
-  incr t.flushes
+  note t ev_flush
 
 let probe_fault t =
   match t.flush_probe with Some fires when fires () -> flush t | _ -> ()
@@ -166,16 +203,16 @@ let find t ~subj ~obj =
   probe_fault t;
   let s = Sid.to_int subj in
   if s >= t.rows || obj < 0 || obj >= t.cols then begin
-    incr t.misses;
+    note t ev_miss;
     -1
   end
   else begin
     let i = (s * t.cols) + obj in
     if
-      Array.unsafe_get t.g_global i = Gen.global t.gens
+      Array.unsafe_get t.g_global i = t.gens.global
       && Array.unsafe_get t.g_obj i = Gen.of_object t.gens obj
     then begin
-      incr t.hits;
+      note t ev_hit;
       Array.unsafe_get t.av i
     end
     else begin
@@ -183,9 +220,9 @@ let find t ~subj ~obj =
          empty now (so it is counted once), miss. *)
       if Array.unsafe_get t.g_global i >= 0 then begin
         Array.unsafe_set t.g_global i (-1);
-        incr t.invalidations
+        note t ev_invalidation
       end;
-      incr t.misses;
+      note t ev_miss;
       -1
     end
   end
@@ -196,10 +233,10 @@ let set t ~subj ~obj av =
     if s >= t.rows || obj >= t.cols then grow t ~rows:(2 * (s + 1)) ~cols:(obj + 1);
     let i = (s * t.cols) + obj in
     t.av.(i) <- av;
-    t.g_global.(i) <- Gen.global t.gens;
+    t.g_global.(i) <- t.gens.global;
     t.g_obj.(i) <- Gen.of_object t.gens obj;
     if obj > t.max_obj then t.max_obj <- obj;
-    incr t.insertions
+    note t ev_insertion
   end
 
 (* Fresh-cell population.  A scan, not a counter: staleness is decided
@@ -212,25 +249,17 @@ let size t =
   for s = 0 to rows - 1 do
     for obj = 0 to min t.max_obj (t.cols - 1) do
       let i = (s * t.cols) + obj in
-      if t.g_global.(i) = Gen.global t.gens && t.g_obj.(i) = Gen.of_object t.gens obj then
-        Stdlib.incr live
+      if t.g_global.(i) = t.gens.global && t.g_obj.(i) = Gen.of_object t.gens obj then
+        incr live
     done
   done;
   !live
 
-let counters t =
-  let get c = Obs.Counter.get c in
-  [
-    ("hits", get t.hits);
-    ("misses", get t.misses);
-    ("invalidations", get t.invalidations);
-    ("insertions", get t.insertions);
-    ("flushes", get t.flushes);
-  ]
+let counters t = Array.to_list (Array.mapi (fun ev field -> (field, t.tally.(ev))) fields)
 
 let hit_ratio t =
-  let h = float_of_int (Obs.Counter.get t.hits) in
-  let m = float_of_int (Obs.Counter.get t.misses) in
+  let h = float_of_int t.tally.(ev_hit) in
+  let m = float_of_int t.tally.(ev_miss) in
   if h +. m = 0. then 0. else h /. (h +. m)
 
 (* Eagerly recompile every minted (subject, object) pair, given the
@@ -244,6 +273,6 @@ let rebuild t ~objects =
     (fun sid subject ->
       objects (fun ~obj ~label ~acl ~brackets ->
           set t ~subj:sid ~obj (compute ~subject ~object_label:label ~acl ~brackets);
-          Stdlib.incr filled))
+          incr filled))
     t.sids;
   !filled

@@ -3,12 +3,13 @@
     access-vector bits.  A hit is an array load — no allocation, no
     hashing, no structured comparison.
 
-    Revocation correctness is inherited from the
-    {!Multics_cache.Avc.Gen} epoch counters: every cell carries the
-    global and per-object stamps current when it was compiled, and any
-    ACL edit, label change, bracket change, delete, rename or salvage
-    bumps a counter, so a revoked cell reads as empty on the next
-    reference and is refilled lazily (or eagerly via {!rebuild}).
+    Revocation is by generation stamps, kept here and nowhere else:
+    every cell carries the global and per-object generations current
+    when it was compiled.  {!note_change} (any ACL edit, label change,
+    bracket change, delete, rename) and {!revoke_all} (salvage, cache
+    clear) bump one in O(1), so every cell derived from the changed
+    object — a whole column — reads as empty on its next reference
+    and is refilled lazily (or eagerly via {!rebuild}).
 
     Soundness of the encoding: permission is conjunctive per mode bit,
     so six bits (r/e/w policy grants plus bracket-read/bracket-write)
@@ -38,13 +39,22 @@ val compute :
 
 type t
 
-val create : ?gens:Multics_cache.Avc.Gen.t -> name:string -> unit -> t
+val create : name:string -> unit -> t
 (** Starts at 16 rows by 256 columns; rows and columns grow
     geometrically as subjects and objects are cached (columns are
     capped at an internal bound past which cells simply recompute).
     Counters are registered under ["cache.<name>.*"] with the same
     field names as {!Multics_cache.Avc}, so status surfaces need not
     care which mechanism serves them. *)
+
+val note_change : t -> int -> unit
+(** Revoke every cell derived from object [obj] (its generation
+    moves).  The per-object generations are one dense array grown on
+    the first bump past its end: one word per id up to the largest id
+    ever bumped.  Raises [Invalid_argument] for a negative id. *)
+
+val revoke_all : t -> unit
+(** Revoke every cell (the global generation moves). *)
 
 val subject_sid : t -> Policy.subject -> Sid.t
 (** Intern (or recall, via the subject's memo stamp — two int
@@ -56,7 +66,7 @@ val find : t -> subj:Sid.t -> obj:int -> int
 (** The hot lookup: the cell's access vector, or [-1] for a miss
     (empty, stale, or out of range).  Returns an int, not an option,
     so a hit allocates nothing.  Stale cells are marked empty and
-    counted as an invalidation plus a miss, as in {!Multics_cache.Avc}. *)
+    counted as an invalidation plus a miss. *)
 
 val set : t -> subj:Sid.t -> obj:int -> int -> unit
 (** Fill a cell, stamped with the current generations. *)
@@ -72,7 +82,13 @@ val size : t -> int
 (** Fresh-cell population (a bounded scan, for status surfaces). *)
 
 val counters : t -> (string * int) list
+(** This table's own tallies (["hits"], ["misses"],
+    ["invalidations"], ["insertions"], ["flushes"]), bumped only while
+    obs is enabled — never another table's traffic under the same
+    name. *)
+
 val hit_ratio : t -> float
+(** From this table's own tallies; 0 before any lookup. *)
 
 val rebuild :
   t ->

@@ -9,59 +9,36 @@
    changes ("setfaults" on an attribute change) — revocation is
    immediate, never deferred to a timeout.
 
-   This module simulates that discipline two ways.  A descriptor change
-   clears the one direct-mapped slot that can hold its entry
-   ([invalidate]), which is setfaults exactly.  A mutation whose effect
-   reaches several caches at once bumps a generation counter instead:
-   every cached entry is stamped with the counters current at insertion
-   (one global, one per object), and a lookup whose stamps no longer
-   match the live counters is treated as a miss and dropped.  A stale
-   Permit therefore cannot outlive the authority that granted it: the
-   entry dies in the same step as the ACL edit, label change, deletion,
-   branch move, eviction or salvager repair that revoked it.
+   This module simulates that discipline and nothing else.  A change
+   clears the one direct-mapped slot that can hold the changed key's
+   entry ([invalidate]), or the whole table ([flush]), in the same step
+   as the mutation: a descriptor change, a connect, a page eviction, a
+   salvage.  Entries carry no generation stamps, so a lookup is one
+   slot load and one key compare, and what the table holds is exactly
+   what would hit.  (The access-vector table, whose one ACL edit must
+   revoke a whole column of cells at once, keeps its own stamps; see
+   [Multics_access.Av_table].)
 
    The cache is deliberately generic: the same mechanism backs the
    per-process SDW associative memory, the per-CPU CAMs and the PTW
-   lookaside in page control.  Each instance reports
-   hits/misses/invalidations through [lib/obs] under "cache.<name>.*",
-   and may carry a fault-injection probe that models spurious full
-   flushes (the [cache.flush] site): a flush storm may cost
+   lookasides.  Each instance reports hits/misses/invalidations through
+   [lib/obs] under "cache.<name>.*" (shared by name) and in its own
+   tallies, and may carry a fault-injection probe that models spurious
+   full flushes (the [cache.flush] site): a flush storm may cost
    performance, never correctness. *)
 
 module Obs = Multics_obs.Obs
 
-module Gen = struct
-  (* [of_object] sits on the hit path of every cache lookup, so the
-     per-object counters are one dense array indexed by the object id
-     (uids, page SIDs).  It starts empty and grows geometrically on the
-     first bump past its end; an id it does not cover was never bumped,
-     hence generation 0.  A cache that never bumps an object allocates
-     nothing here. *)
-  type t = { mutable global : int; mutable dense : int array }
+type 'v entry = { key : int; value : 'v }
 
-  let create () = { global = 0; dense = [||] }
-  let global t = t.global
-
-  let negative obj = invalid_arg (Printf.sprintf "Avc.Gen: negative object id %d" obj)
-
-  let of_object t obj =
-    if obj < Array.length t.dense then
-      if obj >= 0 then Array.unsafe_get t.dense obj else negative obj
-    else 0
-
-  let bump_global t = t.global <- t.global + 1
-
-  let bump_object t obj =
-    if obj < 0 then negative obj;
-    if obj >= Array.length t.dense then begin
-      let grown = Array.make (max (obj + 1) (max 16 (2 * Array.length t.dense))) 0 in
-      Array.blit t.dense 0 grown 0 (Array.length t.dense);
-      t.dense <- grown
-    end;
-    t.dense.(obj) <- t.dense.(obj) + 1
-end
-
-type 'v entry = { key : int; value : 'v; g_global : int; g_obj : int }
+(* The five events, as indices into the registry counters and the
+   instance's own tallies. *)
+let fields = [| "hits"; "misses"; "invalidations"; "insertions"; "flushes" |]
+let ev_hit = 0
+let ev_miss = 1
+let ev_invalidation = 2
+let ev_insertion = 3
+let ev_flush = 4
 
 (* The table is a direct-mapped slot array indexed by the key's low
    bits, like the set-associative memories it simulates.  Every key in
@@ -77,48 +54,45 @@ type 'v entry = { key : int; value : 'v; g_global : int; g_obj : int }
    decision, so it is always sound. *)
 type 'v t = {
   mask : int;  (** slot count - 1; the slot count is a power of two *)
-  gens : Gen.t;
   slots : 'v entry option array;
   mutable population : int;
   mutable flush_probe : (unit -> bool) option;
-  hits : Obs.Counter.t;
-  misses : Obs.Counter.t;
-  invalidations : Obs.Counter.t;
-  insertions : Obs.Counter.t;
-  flushes : Obs.Counter.t;
+  obs : Obs.Counter.t array;  (** "cache.<name>.<field>", shared by name *)
+  tally : int array;  (** this instance's own readings, per field *)
 }
-
-let counter name field =
-  Obs.Registry.counter (Obs.Registry.global ()) (Printf.sprintf "cache.%s.%s" name field)
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(capacity = 256) ?gens ~name () =
-  let gens = match gens with Some g -> g | None -> Gen.create () in
+let create ?(capacity = 256) ~name () =
   let capacity = pow2_at_least (max 1 capacity) 1 in
   {
     mask = capacity - 1;
-    gens;
     slots = Array.make capacity None;
     population = 0;
     flush_probe = None;
-    hits = counter name "hits";
-    misses = counter name "misses";
-    invalidations = counter name "invalidations";
-    insertions = counter name "insertions";
-    flushes = counter name "flushes";
+    obs =
+      Array.map
+        (fun field ->
+          Obs.Registry.counter (Obs.Registry.global ()) (Printf.sprintf "cache.%s.%s" name field))
+        fields;
+    tally = Array.make (Array.length fields) 0;
   }
 
-let gens t = t.gens
 let size t = t.population
 let set_flush_probe t probe = t.flush_probe <- probe
 
-let incr c = if Obs.enabled () then Obs.Counter.incr c
+(* One branch when obs is off; when on, the shared counter and the
+   instance's tally move together. *)
+let note t ev =
+  if Obs.enabled () then begin
+    Obs.Counter.incr (Array.unsafe_get t.obs ev);
+    Array.unsafe_set t.tally ev (Array.unsafe_get t.tally ev + 1)
+  end
 
 let flush t =
   Array.fill t.slots 0 (Array.length t.slots) None;
   t.population <- 0;
-  incr t.flushes
+  note t ev_flush
 
 (* A fault-injected flush models the hardware clearing its associative
    memory at an arbitrary moment (power event, diagnostic, paranoid
@@ -127,60 +101,38 @@ let flush t =
 let probe_fault t =
   match t.flush_probe with Some fires when fires () -> flush t | _ -> ()
 
-let fresh t e = e.g_global = Gen.global t.gens && e.g_obj = Gen.of_object t.gens e.key
-
-let drop t i =
-  t.slots.(i) <- None;
-  t.population <- t.population - 1;
-  incr t.invalidations
-
 let find t key =
   probe_fault t;
-  let i = key land t.mask in
-  match t.slots.(i) with
+  match t.slots.(key land t.mask) with
   | Some e when e.key = key ->
-      if fresh t e then begin
-        incr t.hits;
-        Some e.value
-      end
-      else begin
-        drop t i;
-        incr t.misses;
-        None
-      end
+      note t ev_hit;
+      Some e.value
   | Some _ | None ->
-      incr t.misses;
+      note t ev_miss;
       None
 
 let add t key value =
   (* Direct-mapped, hardware-style: a collision displaces the resident
      entry rather than maintain LRU bookkeeping the 6180 never had.
      Displacement discards a decision; it can never resurrect one. *)
-  let g_obj = Gen.of_object t.gens key in
+  if key < 0 then invalid_arg (Printf.sprintf "Avc.add: negative key %d" key);
   let i = key land t.mask in
   if Option.is_none t.slots.(i) then t.population <- t.population + 1;
-  t.slots.(i) <- Some { key; value; g_global = Gen.global t.gens; g_obj };
-  incr t.insertions
+  t.slots.(i) <- Some { key; value };
+  note t ev_insertion
 
 let entries t =
   Array.fold_left
-    (fun acc slot ->
-      match slot with
-      | Some e when fresh t e -> (e.key, e.value) :: acc
-      | Some _ | None -> acc)
+    (fun acc slot -> match slot with Some e -> (e.key, e.value) :: acc | None -> acc)
     [] t.slots
 
 let invalidate t key =
   let i = key land t.mask in
-  match t.slots.(i) with Some e when e.key = key -> drop t i | Some _ | None -> ()
+  match t.slots.(i) with
+  | Some e when e.key = key ->
+      t.slots.(i) <- None;
+      t.population <- t.population - 1;
+      note t ev_invalidation
+  | Some _ | None -> ()
 
-let invalidate_object t obj = Gen.bump_object t.gens obj
-
-let counters t =
-  [
-    ("hits", Obs.Counter.get t.hits);
-    ("misses", Obs.Counter.get t.misses);
-    ("invalidations", Obs.Counter.get t.invalidations);
-    ("insertions", Obs.Counter.get t.insertions);
-    ("flushes", Obs.Counter.get t.flushes);
-  ]
+let counters t = Array.to_list (Array.mapi (fun ev field -> (field, t.tally.(ev))) fields)

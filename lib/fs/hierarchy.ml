@@ -20,8 +20,6 @@
 open Multics_access
 open Multics_machine
 
-module Avc = Multics_cache.Avc
-
 type kind = Segment | Directory
 
 type node = {
@@ -73,26 +71,25 @@ type t = {
   uids : Uid.generator;
   words_per_page : int;
   (* The compiled access-decision table: Policy + brackets flattened
-     into access-vector bits per (subject SID, object uid), stamped
-     with [gens].  Every access-relevant mutation below bumps the
-     object's generation, so revocation is immediate — the simulated
-     analogue of "setfaults" clearing the 6180's associative memory on
-     an attribute change.  Uids are the object-SID space directly: the
-     uid generator already mints small dense ints and never reuses
-     them. *)
-  gens : Avc.Gen.t;
+     into access-vector bits per (subject SID, object uid).  Every
+     access-relevant mutation below revokes the object's column in the
+     same step ([note_change]), so revocation is immediate — the
+     simulated analogue of "setfaults" clearing the 6180's associative
+     memory on an attribute change.  Uids are the object-SID space
+     directly: the uid generator already mints small dense ints and
+     never reuses them. *)
   avtab : Av_table.t;
 }
 
 let words_per_page t = t.words_per_page
 
 (* The one revocation path: any ACL edit, bracket or label change,
-   deletion or branch move bumps the object's epoch, which revokes the
-   cached verdicts derived from it.  Building an [Acl.t] revokes
-   nothing; only installing it here does. *)
-let note_change t uid = Avc.Gen.bump_object t.gens (Uid.to_int uid)
+   deletion or branch move bumps the object's generation in the table,
+   which revokes the cached verdicts derived from it.  Building an
+   [Acl.t] revokes nothing; only installing it here does. *)
+let note_change t uid = Av_table.note_change t.avtab (Uid.to_int uid)
 
-let invalidate_cached_verdicts t = Avc.Gen.bump_global t.gens
+let invalidate_cached_verdicts t = Av_table.revoke_all t.avtab
 let av_table t = t.avtab
 let subject_sid t subject = Av_table.subject_sid t.avtab subject
 let set_cache_probe t probe = Av_table.set_flush_probe t.avtab probe
@@ -125,13 +122,11 @@ let create ?(words_per_page = 64) () =
     }
   in
   Hashtbl.replace nodes (Uid.to_int Uid.root) root;
-  let gens = Avc.Gen.create () in
   {
     nodes;
     uids = Uid.generator ();
     words_per_page;
-    gens;
-    avtab = Av_table.create ~gens ~name:"policy" ();
+    avtab = Av_table.create ~name:"policy" ();
   }
 
 let node t uid = Hashtbl.find_opt t.nodes (Uid.to_int uid)

@@ -146,13 +146,14 @@ val raw_set_label : t -> uid:Uid.t -> label:Label.t -> bool
     indexed by (subject SID, object uid), where a covered request
     Permits with no allocation or hashing and anything else recomputes
     the structured verdict.  Every ACL edit, label change, bracket
-    change, deletion or branch move above bumps the object's epoch
-    generation, so revocation is immediate (the "setfaults"
-    discipline), never TTL-based.  Those per-object bumps, and the
-    global one of [invalidate_cached_verdicts], are the only
-    revocation path: building an [Acl.t] revokes nothing until it is
-    installed here, and one hierarchy's edits never touch another's
-    table.  [check_access_fresh] recomputes
+    change, deletion or branch move above revokes the object's whole
+    column of cells in the same step
+    ({!Multics_access.Av_table.note_change}), so revocation is
+    immediate (the "setfaults" discipline), never TTL-based.  Those
+    per-object revocations, and the whole-table one of
+    [invalidate_cached_verdicts], are the only revocation path:
+    building an [Acl.t] revokes nothing until it is installed here,
+    and one hierarchy's edits never touch another's table.  [check_access_fresh] recomputes
     from scratch; the property tests hold the two equal at every
     step. *)
 
@@ -176,8 +177,9 @@ val rebuild_av_table : t -> int
     — lazy refill under the epoch stamps is already exact. *)
 
 val invalidate_cached_verdicts : t -> unit
-(** Bump the global generation: every cached verdict dies.  Called by
-    the salvager after repairs and by the [cache clear] gate. *)
+(** Revoke every cached verdict ({!Multics_access.Av_table.revoke_all}).
+    Called by the salvager after repairs and by the [cache clear]
+    gate. *)
 
 val flush_cached_verdicts : t -> unit
 (** Drop the cached entries outright (storage, not just staleness). *)
@@ -186,8 +188,8 @@ val set_cache_probe : t -> (unit -> bool) option -> unit
 (** Install the fault-injection probe ([cache.flush] storms). *)
 
 val cache_stats : t -> (string * int) list
-(** [("size", _)] plus the obs counter readings for the verdict
-    cache. *)
+(** [("size", _)] plus this hierarchy's own verdict-cache tallies
+    ({!Multics_access.Av_table.counters}). *)
 
 val cache_hit_ratio : t -> float
 

@@ -52,8 +52,8 @@ module Assoc : sig
   val size : t -> int
 
   val counters : t -> (string * int) list
-  (** The underlying cache's obs counter readings
-      (["cache.hw.assoc.*"]). *)
+  (** This memory's own tallies of the ["cache.hw.assoc.*"] events
+      (see {!Multics_cache.Avc.counters}). *)
 
   val entries : t -> (int * Sdw.t) list
   (** The (key, SDW) pairs that would currently hit; read-only, order

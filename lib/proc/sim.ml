@@ -60,8 +60,13 @@ type process = {
   mutable failure : string option;
   mutable compute_left : int;  (** cycles still owed on the current [compute] *)
   mutable slice : int;  (** length of the slice currently on the event queue *)
-  mutable quantum_left : int option;  (** remaining quantum this dispatch; None = unlimited *)
+  mutable quantum_left : int;  (** remaining quantum this dispatch, or [unlimited_quantum] *)
 }
+
+(* The quantum of a process that runs until it blocks: never counted
+   down, never expires.  An int, not an option, so granting and
+   counting a quantum allocates nothing. *)
+let unlimited_quantum = max_int
 
 type vp = { vp_id : int; mutable current : pid option; mutable reserved : bool }
 
@@ -82,7 +87,8 @@ type scheduler = {
           multiprocessor plant the VP index identifies the simulated
           CPU doing the selecting, so lock contention can be charged
           to the right dispatcher *)
-  sched_quantum : pid -> int option;  (** quantum for this dispatch; None = run to block *)
+  sched_quantum : pid -> int;
+      (** quantum for this dispatch; [unlimited_quantum] = run to block *)
   sched_quantum_expired : pid -> preempted:bool -> unit;
       (** the quantum ran out; [preempted] iff compute was still owed *)
   sched_blocked : pid -> unit;  (** the process surrendered its VP to wait *)
@@ -243,7 +249,7 @@ let bind_to_vp t p vp =
      unclocked even under a traffic controller. *)
   (match t.scheduler with
   | Some s when Option.is_none p.dedicated_vp -> p.quantum_left <- s.sched_quantum p.pid
-  | _ -> p.quantum_left <- None);
+  | _ -> p.quantum_left <- unlimited_quantum);
   let start_time = now t + t.cost.Cost.process_switch in
   let event = match p.cont with None -> Start p.pid | Some _ -> Resume p.pid in
   Event_queue.push t.events ~time:start_time event
@@ -358,7 +364,7 @@ let spawn ?(ring = Ring.user) ?(dedicated = false) t ~name body =
       failure = None;
       compute_left = 0;
       slice = 0;
-      quantum_left = None;
+      quantum_left = unlimited_quantum;
     }
   in
   if pid >= Array.length t.procs then begin
@@ -410,9 +416,8 @@ let block chan = Effect.perform (Block_on chan)
    slice lands with the quantum intact. *)
 let schedule_slice t p =
   let chunk =
-    match p.quantum_left with
-    | Some q when q < p.compute_left -> max 1 q
-    | _ -> p.compute_left
+    (* An unlimited quantum is never below the compute owed. *)
+    if p.quantum_left < p.compute_left then max 1 p.quantum_left else p.compute_left
   in
   p.slice <- chunk;
   Event_queue.push t.events ~time:(now t + chunk) (Slice p.pid)
@@ -519,10 +524,8 @@ let slice_done t p =
   match p.state with
   | Running ->
       p.compute_left <- p.compute_left - p.slice;
-      (match p.quantum_left with
-      | Some q -> p.quantum_left <- Some (q - p.slice)
-      | None -> ());
-      let expired = match p.quantum_left with Some q -> q <= 0 | None -> false in
+      if p.quantum_left <> unlimited_quantum then p.quantum_left <- p.quantum_left - p.slice;
+      let expired = p.quantum_left <= 0 in
       if expired then begin
         t.n_quantum_expiries <- t.n_quantum_expiries + 1;
         match t.scheduler with

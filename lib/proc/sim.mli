@@ -47,6 +47,10 @@ val fault_injector : t -> Multics_fault.Fault.Injector.t option
     when next dispatched.  The scheduler therefore cannot perturb any
     computed result — only timing. *)
 
+val unlimited_quantum : int
+(** The quantum that never expires ([max_int]): a process granted it
+    runs until it blocks. *)
+
 type scheduler = {
   sched_name : string;
   sched_enqueue : pid -> unit;
@@ -56,8 +60,9 @@ type scheduler = {
           the VP index identifies the simulated CPU doing the
           selecting, so a multiprocessor plant can charge ready-queue
           lock contention to the right dispatcher *)
-  sched_quantum : pid -> int option;
-      (** quantum for this dispatch; [None] = run until block *)
+  sched_quantum : pid -> int;
+      (** quantum for this dispatch; {!unlimited_quantum} = run until
+          block *)
   sched_quantum_expired : pid -> preempted:bool -> unit;
       (** the quantum ran out; [preempted] iff compute was still owed *)
   sched_blocked : pid -> unit;  (** the process surrendered its VP to wait *)

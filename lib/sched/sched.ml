@@ -140,7 +140,7 @@ type external_policy = {
   xp_name : string;
   xp_enqueue : Sim.pid -> unit;
   xp_select : unit -> Sim.pid option;
-  xp_quantum : Sim.pid -> int option;
+  xp_quantum : Sim.pid -> int;
   xp_expired : Sim.pid -> preempted:bool -> unit;
   xp_blocked : Sim.pid -> unit;
   xp_retired : Sim.pid -> unit;
@@ -172,7 +172,7 @@ let user_ring_mlf ?(levels = 4) ?(base_quantum = 4000) ?(age_after = 16) () =
       (fun () ->
         incr tick;
         Mlf.select m ~now:!tick);
-    xp_quantum = (fun pid -> Some (Mlf.quantum m pid));
+    xp_quantum = Mlf.quantum m;
     xp_expired = (fun pid ~preempted:_ -> Mlf.expired m pid);
     xp_blocked = (fun pid -> Mlf.blocked m pid);
     xp_retired = (fun pid -> Mlf.retired m pid);
@@ -239,8 +239,8 @@ let p_select t =
 
 let p_quantum t pid =
   match t.impl with
-  | I_mlf m -> Some (Mlf.quantum m pid)
-  | I_fifo _ -> None
+  | I_mlf m -> Mlf.quantum m pid
+  | I_fifo _ -> Sim.unlimited_quantum
   | I_ext xp ->
       upcall t;
       xp.xp_quantum pid
@@ -351,7 +351,7 @@ let quantum t pid =
   | Some inj when Fault.Injector.fire inj Fault.Sched_preempt ->
       t.storms <- t.storms + 1;
       Obs.Counter.incr (obs_storms ());
-      Some (match q with Some q -> min q storm_quantum | None -> storm_quantum)
+      min q storm_quantum
   | _ -> q
 
 let quantum_expired t pid ~preempted =

@@ -76,7 +76,7 @@ type external_policy = {
   xp_name : string;
   xp_enqueue : Sim.pid -> unit;
   xp_select : unit -> Sim.pid option;
-  xp_quantum : Sim.pid -> int option;
+  xp_quantum : Sim.pid -> int;  (** {!Sim.unlimited_quantum}: run to block *)
   xp_expired : Sim.pid -> preempted:bool -> unit;
   xp_blocked : Sim.pid -> unit;
   xp_retired : Sim.pid -> unit;

@@ -174,7 +174,8 @@ let run spec =
   let plant =
     if spec.cpus <= 1 then None
     else begin
-      let p = Smp.create ~ncpus:spec.cpus ~ptw_gens:(Page_control.ptw_gens pc) ~cost:spec.cost () in
+      let p = Smp.create ~ncpus:spec.cpus ~cost:spec.cost () in
+      Page_control.set_on_evict pc (fun page -> Smp.ptw_invalidate p ~page);
       Smp.set_now p (fun () -> Sim.now sim);
       Smp.set_faults p injector;
       Some p

@@ -12,10 +12,11 @@
    is precisely the revocation window a security kernel must not have.
 
    This module gives each simulated CPU its own SDW associative memory
-   and PTW lookaside front (instances of the same epoch-versioned
-   [Avc] that backs the uniprocessor caches), a shared global lock
-   with a deterministic cycle-accounted contention model, and the
-   connect protocol itself.  Three invariants carry the whole design:
+   and PTW lookaside front (instances of the same setfaults-revoked
+   [Avc] slot cache that backs the uniprocessor caches), a shared
+   global lock with a deterministic cycle-accounted contention model,
+   and the connect protocol itself.  Three invariants carry the whole
+   design:
 
    - {b Coherence is synchronous.}  [connect_invalidate] /
      [connect_flush_all] do not return until every CPU's memories have
@@ -111,11 +112,15 @@ type cpu = {
           processes' descriptor segments can never be confused *)
   ptw : unit Avc.t;
       (** this CPU's PTW lookaside front, keyed by dense page SID
-          (see {!Multics_vm.Page_control.page_sid}); shares its
-          generations with page control's [vm.ptw] cache so an
-          eviction stales every CPU's front in the same step *)
+          (see {!Multics_vm.Page_control.page_sid}); page control's
+          eviction hook clears the victim's entry here
+          ({!ptw_invalidate}) in the same step it leaves core *)
   mutable connects_received : int;
 }
+
+(* What a queued connect will clear: kept as data, rendered only by
+   [pending_connects]. *)
+type tag = Inval of { handle : int; segno : int } | Flush
 
 type t = {
   ncpus : int;
@@ -131,7 +136,7 @@ type t = {
           seeded-bug leg: remote connects queue instead of being
           delivered synchronously, re-opening the stale-Permit
           window the connect protocol exists to close *)
-  mutable pending : (int * string * (unit -> unit)) list;
+  mutable pending : (int * tag * (unit -> unit)) list;
       (** queued (target cpu, tag, clear) in reverse arrival order *)
   connects_sent : Obs.Counter.t;
   connects_lost : Obs.Counter.t;
@@ -154,14 +159,14 @@ let cam_key ~handle ~segno =
     (handle lsl 32) lor segno
   else -1
 
-let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
+let create ?(ncpus = default_ncpus ()) ~cost () =
   if ncpus < 1 || ncpus > max_cpus then
     invalid_arg (Printf.sprintf "Smp.create: ncpus must be in 1..%d" max_cpus);
   let make_cpu id =
     {
       id;
       cam = Hardware.Assoc.create ~name:"smp.assoc" ();
-      ptw = Avc.create ~capacity:64 ?gens:ptw_gens ~name:"smp.ptw" ();
+      ptw = Avc.create ~capacity:64 ~name:"smp.ptw" ();
       connects_received = 0;
     }
   in
@@ -318,13 +323,13 @@ let broadcast t ~tag clear =
    processes' entries for the same segno survive. *)
 let connect_invalidate t ~handle ~segno =
   let key = cam_key ~handle ~segno in
-  broadcast t ~tag:(Printf.sprintf "inval:%d:%d" handle segno) (fun c ->
+  broadcast t ~tag:(Inval { handle; segno }) (fun c ->
       if key >= 0 then Hardware.Assoc.invalidate c.cam ~segno:key)
 
 (* Whole-system revocation (salvage, cache clear): flush every CPU's
    CAM and PTW front outright. *)
 let connect_flush_all t =
-  broadcast t ~tag:"flush" (fun c ->
+  broadcast t ~tag:Flush (fun c ->
       Hardware.Assoc.flush c.cam;
       Avc.flush c.ptw)
 
@@ -353,7 +358,11 @@ let deliver_connects t ~cpu =
   t.pending <- List.rev rest;
   List.length mine
 
-let pending_connects t = List.rev_map (fun (cpu, tag, _) -> (cpu, tag)) t.pending
+let tag_to_string = function
+  | Inval { handle; segno } -> Printf.sprintf "inval:%d:%d" handle segno
+  | Flush -> "flush"
+
+let pending_connects t = List.rev_map (fun (cpu, tag, _) -> (cpu, tag_to_string tag)) t.pending
 
 (* ----- Read-only cache enumeration (for the model checker) ----- *)
 
@@ -403,9 +412,7 @@ let check_sdw t ~handle ~segno ~assoc ~fetch ~ring ~operation =
 (* Touch the current CPU's PTW front for a page SID; returns whether
    it hit.  A miss models this CPU walking the page table even though
    another CPU walked it recently — each processor has its own
-   lookaside.  Shared generations keep the front honest: page
-   control's eviction bump (on the same SID space) stales every CPU's
-   entry at once. *)
+   lookaside.  [ptw_invalidate] keeps the fronts honest. *)
 let ptw_touch t ~page =
   let key = Sid.to_int page in
   let c = t.cpus.(t.current) in
@@ -414,6 +421,14 @@ let ptw_touch t ~page =
   | None ->
       Avc.add c.ptw key ();
       false
+
+(* A page left core: clear its entry from every CPU's PTW front, in
+   the same step (page control's eviction hook).  No connect and no
+   cycles: the fronts only model where page-table walks happen, and
+   page control already charges the eviction. *)
+let ptw_invalidate t ~page =
+  let key = Sid.to_int page in
+  Array.iter (fun c -> Avc.invalidate c.ptw key) t.cpus
 
 (* ----- Dispatcher lock -----
 

@@ -76,12 +76,9 @@ val max_retries : int
 
 type t
 
-val create : ?ncpus:int -> ?ptw_gens:Multics_cache.Avc.Gen.t -> cost:Cost.t -> unit -> t
+val create : ?ncpus:int -> cost:Cost.t -> unit -> t
 (** [ncpus] defaults to {!default_ncpus}[ ()]; raises
-    [Invalid_argument] outside 1..{!max_cpus}.  [ptw_gens] shares the
-    per-CPU PTW fronts' generations with page control's [vm.ptw]
-    cache, so an eviction there stales every CPU's front in the same
-    step.  Obs instruments: ["smp.connects.sent"/".lost"/".retries"/
+    [Invalid_argument] outside 1..{!max_cpus}.  Obs instruments: ["smp.connects.sent"/".lost"/".retries"/
     ".rescues"], the ["smp.connect.cycles"] histogram, ["smp.lock.*"]
     and the ["cache.smp.assoc.*"]/["cache.smp.ptw.*"] families. *)
 
@@ -149,11 +146,11 @@ val pending_connects : t -> (int * string) list
     no counter movement. *)
 
 val cam_entries : t -> cpu:int -> ((int * int) * Sdw.t) list
-(** Fresh entries of that CPU's SDW associative memory, keyed by their
+(** Entries of that CPU's SDW associative memory, keyed by their
     exact [(handle, segno)] pair. *)
 
 val ptw_keys : t -> cpu:int -> int list
-(** Fresh page-SID keys of that CPU's PTW lookaside front. *)
+(** Page-SID keys of that CPU's PTW lookaside front. *)
 
 (** {1 Per-CPU mediation fronts} *)
 
@@ -178,6 +175,12 @@ val ptw_touch : t -> page:Multics_access.Sid.t -> bool
 (** Touch the current CPU's PTW front for a dense page SID (from
     {!Multics_vm.Page_control.page_sid}); [false] (miss) means this
     CPU must walk the page table — callers charge [Cost.ptw_fetch]. *)
+
+val ptw_invalidate : t -> page:Multics_access.Sid.t -> unit
+(** Setfaults for one page: clear its entry from every CPU's PTW
+    front.  Page control's eviction hook
+    ({!Multics_vm.Page_control.set_on_evict}) calls it in the same
+    step the page leaves core.  Charges no cycles. *)
 
 (** {1 Dispatcher lock} *)
 

@@ -85,23 +85,21 @@ type t = {
   mutable n_bulk_to_disk : int;
   (* The PTW lookaside: pages known core-resident, so a repeat
      reference skips the page-table walk ([Cost.ptw_fetch]).  Sound
-     because the only paths that move a page out of core — the eviction
-     pushes below — invalidate the victim's entry in the same step.
+     because the only path that moves a page out of core — the
+     eviction push below — clears the victim's entry, and calls
+     [on_evict] so every other lookaside of the page (the per-CPU
+     fronts) clears it too, in the same step.
 
      Keyed by dense page SIDs: a page id is interned once (on its first
-     reference) and the cache then works on small ints.  The SID is
-     also the object id of the generation counter the eviction bumps,
-     which [Gen] keeps in a dense array indexed by it. *)
+     reference) and the cache then works on small ints. *)
   page_sids : Page_id.t Sid.Map.t;
   ptw : unit Avc.t;
+  mutable on_evict : Sid.t -> unit;
 }
 
 (* The page's dense SID — interned on first sight, stable for the
-   instance's lifetime (SIDs are never reused, so an evicted page's
-   generation history stays its own). *)
+   instance's lifetime (SIDs are never reused). *)
 let page_sid t page = Sid.Map.intern t.page_sids page
-
-let ptw_key t page = Sid.to_int (page_sid t page)
 
 (* Injected storage faults follow one fail-secure rule: a fault costs a
    wasted device attempt (charged to whoever runs the step) and is then
@@ -176,6 +174,7 @@ let create ?(core_target = 2) ?(bulk_target = 2) ?(zero_fill_cycles = 300) ?faul
       n_bulk_to_disk = 0;
       page_sids = Sid.Map.create ~hash:Page_id.hash ~equal:Page_id.equal ();
       ptw = Avc.create ~capacity:64 ~name:"vm.ptw" ();
+      on_evict = ignore;
     }
   in
   t.victim_policy <- default_policy t;
@@ -184,6 +183,8 @@ let create ?(core_target = 2) ?(bulk_target = 2) ?(zero_fill_cycles = 300) ?faul
 let set_victim_policy t policy = t.victim_policy <- policy
 
 let set_faults t faults = t.fault_inj <- faults
+
+let set_on_evict t hook = t.on_evict <- hook
 
 let counters t =
   Multics_util.Stats.Counters.of_tallies
@@ -247,9 +248,11 @@ let push_core_page_to_bulk t =
   | Some victim -> (
       match Memory.transfer t.mem victim ~dest:Level.Bulk with
       | Ok (_, cost) ->
-          (* The victim leaves core: its lookaside entry dies now, not
-             when someone notices — same discipline as the AVC. *)
-          Avc.invalidate_object t.ptw (ptw_key t victim);
+          (* The victim leaves core: its lookaside entries die now, not
+             when someone notices — setfaults, as for every slot cache. *)
+          let sid = page_sid t victim in
+          Avc.invalidate t.ptw (Sid.to_int sid);
+          t.on_evict sid;
           t.n_core_to_bulk <- t.n_core_to_bulk + 1;
           Obs.Counter.incr (obs_core_to_bulk ());
           (* Eviction failure: the bulk-store write is lost and redone
@@ -376,7 +379,7 @@ let reference ?(write = false) t ~pid ~page =
     | Some block -> Level.equal (Block.level block) Level.Core
     | None -> false
   in
-  let sid = ptw_key t page in
+  let sid = Sid.to_int (page_sid t page) in
   if Avc.find t.ptw sid <> None then begin
     (* PTW hit: the lookaside vouches for core residency, so the
        reference costs only the access itself — no page-table walk. *)
@@ -446,11 +449,6 @@ let reference ?(write = false) t ~pid ~page =
   end
 
 (* ----- The PTW lookaside, exposed ----- *)
-
-(* The lookaside's generation counters, exposed so per-CPU PTW fronts
-   (lib/smp) can share them: an eviction's bump then stales every
-   CPU's front in the same step it stales this cache. *)
-let ptw_gens t = Avc.gens t.ptw
 
 (* Soundness of the lookaside: every page it would vouch for really is
    core-resident.  Checked by tests after eviction storms.  Keys are

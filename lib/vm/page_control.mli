@@ -33,6 +33,12 @@ val create :
 val set_faults : t -> Multics_fault.Fault.Injector.t option -> unit
 (** Install (or clear) the fault injector after creation. *)
 
+val set_on_evict : t -> (Multics_access.Sid.t -> unit) -> unit
+(** The eviction hook: called with the victim's page SID in the same
+    step the page leaves core, after this instance's own lookaside
+    entry is cleared.  A multiprocessor plant sets it to clear every
+    CPU's PTW front ({!Multics_smp.Smp.ptw_invalidate}).  Default: no-op. *)
+
 val start : t -> unit
 (** Spawn the dedicated kernel processes (parallel discipline; no-op
     for sequential).  Idempotent.  Each reserves a virtual processor. *)
@@ -63,11 +69,10 @@ val counters : t -> Multics_util.Stats.Counters.t
     A {!Multics_cache.Avc}-backed cache of pages known core-resident,
     keyed by dense page SIDs ({!Multics_access.Sid.t}): a page id is
     interned once on first reference and the cache then works on small
-    ints, which are also the ids of the shared generation counters
-    (one dense array).  A hit skips
-    the page-table walk ([Cost.ptw_fetch]); eviction invalidates the
-    victim's entry in the same step it leaves core.  Obs counters
-    under ["cache.vm.ptw.*"]. *)
+    ints.  A hit skips the page-table walk ([Cost.ptw_fetch]).
+    Eviction is setfaults: it clears the victim's entry, and through
+    {!set_on_evict} every other lookaside's, in the same step the page
+    leaves core.  Obs counters under ["cache.vm.ptw.*"]. *)
 
 val page_sid : t -> Page_id.t -> Multics_access.Sid.t
 (** The page's dense SID (interned on first sight, never reused).
@@ -75,10 +80,6 @@ val page_sid : t -> Page_id.t -> Multics_access.Sid.t
 
 val check_ptw_invariant : t -> bool
 (** Every page the lookaside would vouch for is core-resident. *)
-
-val ptw_gens : t -> Multics_cache.Avc.Gen.t
-(** The lookaside's generation counters, for per-CPU PTW fronts to
-    share: an eviction's bump stales every sharing cache at once. *)
 
 (** {1 Fault accounting} *)
 

@@ -1,8 +1,9 @@
-(* The access-decision cache (AVC): unit tests for the generic
-   associative memory, revocation coverage for every mutating entry
-   point of the hierarchy, the salvager's cache invalidation, and the
-   100-seed parity property — the cached mediation path must agree with
-   fresh recomputation at every step, including under flush storms. *)
+(* The access-decision cache (AVC): unit tests and a model-based
+   property for the generic associative memory, revocation coverage
+   for every mutating entry point of the hierarchy, the salvager's
+   cache invalidation, per-kernel cache status, and the 100-seed
+   parity property — the cached mediation path must agree with fresh
+   recomputation at every step, including under flush storms. *)
 
 open Multics_access
 open Multics_machine
@@ -12,8 +13,9 @@ module Hierarchy = Multics_fs.Hierarchy
 module Uid = Multics_fs.Uid
 module Obs = Multics_obs.Obs
 
-(* Counter names are shared per cache [name], so every test uses its
-   own name to keep readings isolated. *)
+(* Each instance keeps its own tallies; the registry counters behind
+   them are shared per cache [name], so every test still uses its own
+   name. *)
 let counter_of t field = List.assoc field (Avc.counters t)
 
 let test_avc_basics () =
@@ -25,27 +27,6 @@ let test_avc_basics () =
   Alcotest.(check int) "size" 1 (Avc.size c);
   Alcotest.(check int) "one hit" 1 (counter_of c "hits");
   Alcotest.(check int) "one miss" 1 (counter_of c "misses")
-
-let test_avc_invalidate_object () =
-  Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.inv_obj" () in
-  Avc.add c 1 10;
-  Avc.add c 2 20;
-  Avc.invalidate_object c 1;
-  Alcotest.(check (option int)) "stale entry dropped" None (Avc.find c 1);
-  Alcotest.(check (option int)) "other object unaffected" (Some 20) (Avc.find c 2);
-  Alcotest.(check int) "invalidation counted" 1 (counter_of c "invalidations");
-  Avc.add c 1 11;
-  Alcotest.(check (option int)) "re-add after invalidation hits" (Some 11) (Avc.find c 1)
-
-let test_avc_invalidate_all () =
-  Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.inv_all" () in
-  Avc.add c 1 10;
-  Avc.add c 2 20;
-  Avc.Gen.bump_global (Avc.gens c);
-  Alcotest.(check (option int)) "entry 1 dead" None (Avc.find c 1);
-  Alcotest.(check (option int)) "entry 2 dead" None (Avc.find c 2)
 
 (* Setfaults drops exactly the key's own entry: not the other key that
    shares its slot, not a neighbour, and nothing when the slot holds
@@ -65,7 +46,7 @@ let test_avc_invalidate_key () =
   Alcotest.(check int) "nothing dropped" 1 (counter_of c "invalidations");
   Alcotest.(check int) "population unchanged" 1 (Avc.size c);
   Alcotest.check_raises "negative key refused"
-    (Invalid_argument "Avc.Gen: negative object id -3") (fun () -> Avc.add c (-3) 0)
+    (Invalid_argument "Avc.add: negative key -3") (fun () -> Avc.add c (-3) 0)
 
 let test_avc_flush_probe () =
   Obs.set_enabled true;
@@ -102,37 +83,171 @@ let test_avc_capacity_rounding () =
   Alcotest.(check (option int)) "16 displaced 0" None (Avc.find c 0);
   Alcotest.(check int) "rounded to power of two" 2 (Avc.size c)
 
-let test_avc_keys_skip_stale () =
-  let c = Avc.create ~capacity:8 ~name:"t.keys" () in
-  Avc.add c 1 10;
-  Avc.add c 2 20;
-  Avc.invalidate_object c 2;
-  Alcotest.(check (list (pair int int))) "only fresh entries" [ (1, 10) ]
-    (List.sort compare (Avc.entries c))
+(* ----- The slot cache against a reference model -----
 
-(* ----- Generation counters ----- *)
+   Random add/find/invalidate/flush sequences, with flush-probe
+   firings, against a plain slot map: an array of (key, value) options
+   indexed by the key's low bits.  Every find must answer as the model
+   does, the population must be the number of entries, the entries
+   must be the model's, and the instance's tallies must equal the
+   model's event counts. *)
+
+type avc_op = Add of int * int | Find of int | Invalidate of int | Flush | Arm_probe
+
+let avc_op_to_string = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Invalidate k -> Printf.sprintf "invalidate %d" k
+  | Flush -> "flush"
+  | Arm_probe -> "arm"
+
+let avc_model_agrees (capacity, ops) =
+  Obs.set_enabled true;
+  let c = Avc.create ~capacity ~name:"t.model" () in
+  let armed = ref false in
+  Avc.set_flush_probe c
+    (Some
+       (fun () ->
+         let fire = !armed in
+         armed := false;
+         fire));
+  let rec pow2 n = if n >= capacity then n else pow2 (2 * n) in
+  let slots = Array.make (pow2 1) None in
+  let slot k = k land (Array.length slots - 1) in
+  let tally = Hashtbl.create 5 in
+  let bump field = Hashtbl.replace tally field (1 + Option.value ~default:0 (Hashtbl.find_opt tally field)) in
+  let model_flush () =
+    Array.fill slots 0 (Array.length slots) None;
+    bump "flushes"
+  in
+  let step op =
+    let ok =
+      match op with
+      | Add (k, v) ->
+          Avc.add c k v;
+          slots.(slot k) <- Some (k, v);
+          bump "insertions";
+          true
+      | Find k ->
+          if !armed then model_flush ();
+          let expected =
+            match slots.(slot k) with Some (k', v) when k' = k -> Some v | Some _ | None -> None
+          in
+          bump (if Option.is_some expected then "hits" else "misses");
+          Avc.find c k = expected
+      | Invalidate k ->
+          Avc.invalidate c k;
+          (match slots.(slot k) with
+          | Some (k', _) when k' = k ->
+              slots.(slot k) <- None;
+              bump "invalidations"
+          | Some _ | None -> ());
+          true
+      | Flush ->
+          Avc.flush c;
+          model_flush ();
+          true
+      | Arm_probe ->
+          armed := true;
+          true
+    in
+    let model_entries = List.sort compare (List.filter_map Fun.id (Array.to_list slots)) in
+    let entries = List.sort compare (Avc.entries c) in
+    let tallies_agree =
+      List.for_all
+        (fun (field, n) -> n = Option.value ~default:0 (Hashtbl.find_opt tally field))
+        (Avc.counters c)
+    in
+    ok && entries = model_entries && Avc.size c = List.length entries && tallies_agree
+    || QCheck.Test.fail_reportf "diverged at %s" (avc_op_to_string op)
+  in
+  List.for_all step ops
+
+let avc_op_gen =
+  QCheck.Gen.(
+    let key = int_range 0 19 in
+    frequency
+      [
+        (4, map2 (fun k v -> Add (k, v)) key small_nat);
+        (5, map (fun k -> Find k) key);
+        (3, map (fun k -> Invalidate k) key);
+        (1, return Flush);
+        (1, return Arm_probe);
+      ])
+
+let test_avc_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"avc: matches a slot-map model"
+       (QCheck.make
+          ~print:(fun (capacity, ops) ->
+            Printf.sprintf "capacity %d: %s" capacity
+              (String.concat "; " (List.map avc_op_to_string ops)))
+          QCheck.Gen.(pair (int_range 1 9) (list_size (int_range 0 80) avc_op_gen)))
+       avc_model_agrees)
+
+(* ----- Generation counters (the access-vector table's) ----- *)
+
+let gen_subject =
+  Policy.subject
+    ~principal:(Principal.make ~person:"Gen" ~project:"Test" ~tag:"a")
+    ~clearance:Label.unclassified ~ring:(Ring.of_int 4) ()
 
 let test_gen_dense_ids () =
-  (* Object ids index one dense array, grown on the first bump past its
-     end; an id it does not cover reads generation 0.  Negative ids
-     are refused. *)
-  let g = Avc.Gen.create () in
-  Alcotest.(check int) "unbumped id" 0 (Avc.Gen.of_object g 3);
-  Avc.Gen.bump_object g 3;
-  Avc.Gen.bump_object g 3;
-  Alcotest.(check int) "id bumped twice" 2 (Avc.Gen.of_object g 3);
-  Alcotest.(check int) "id beyond the array" 0 (Avc.Gen.of_object g 5_000);
-  Avc.Gen.bump_object g 5_000;
-  Alcotest.(check int) "grown id" 1 (Avc.Gen.of_object g 5_000);
-  Alcotest.(check int) "growth kept earlier bumps" 2 (Avc.Gen.of_object g 3);
-  Alcotest.(check int) "huge id reads 0" 0 (Avc.Gen.of_object g max_int);
-  Alcotest.check_raises "negative read refused"
-    (Invalid_argument "Avc.Gen: negative object id -7") (fun () ->
-      ignore (Avc.Gen.of_object g (-7)));
+  (* Object ids index one dense array of generations, grown on the
+     first bump past its end; an id it does not cover was never
+     bumped, so its cells stay live.  Negative ids are refused. *)
+  let t = Av_table.create ~name:"t.gen" () in
+  let subj = Av_table.subject_sid t gen_subject in
+  let fill obj = Av_table.set t ~subj ~obj 7 in
+  let find obj = Av_table.find t ~subj ~obj in
+  fill 3;
+  fill 4;
+  Av_table.note_change t 3;
+  Av_table.note_change t 3;
+  Alcotest.(check int) "bumped id's cell revoked" (-1) (find 3);
+  Alcotest.(check int) "unbumped id's cell live" 7 (find 4);
+  fill 3;
+  fill 5_000;
+  Alcotest.(check int) "cell beyond the array live" 7 (find 5_000);
+  Av_table.note_change t 5_000;
+  Alcotest.(check int) "grown id's cell revoked" (-1) (find 5_000);
+  Alcotest.(check int) "growth kept earlier bumps" 7 (find 3);
+  Alcotest.(check int) "growth left unbumped ids alone" 7 (find 4);
   Alcotest.check_raises "negative bump refused"
-    (Invalid_argument "Avc.Gen: negative object id -7") (fun () -> Avc.Gen.bump_object g (-7));
-  Avc.Gen.bump_global g;
-  Alcotest.(check int) "global independent" 1 (Avc.Gen.global g)
+    (Invalid_argument "Av_table: negative object id -7") (fun () -> Av_table.note_change t (-7));
+  Av_table.revoke_all t;
+  Alcotest.(check (pair int int)) "revoke_all stales every cell" (-1, -1) (find 3, find 4);
+  fill 3;
+  Alcotest.(check int) "refilled after revoke_all" 7 (find 3)
+
+(* Two tables (or slot caches) under one name share registry counters,
+   but each reports only its own traffic, and nothing moves while obs
+   is off. *)
+let test_tallies_per_instance () =
+  Obs.set_enabled true;
+  let a = Av_table.create ~name:"t.twin" () and b = Av_table.create ~name:"t.twin" () in
+  let subj = Av_table.subject_sid a gen_subject in
+  Av_table.set a ~subj ~obj:1 7;
+  ignore (Av_table.find a ~subj ~obj:1);
+  ignore (Av_table.find a ~subj ~obj:2);
+  let zeros = List.map (fun (field, _) -> (field, 0)) (Av_table.counters b) in
+  Alcotest.(check (list (pair string int))) "table a"
+    [ ("hits", 1); ("misses", 1); ("invalidations", 0); ("insertions", 1); ("flushes", 0) ]
+    (Av_table.counters a);
+  Alcotest.(check (list (pair string int))) "table b reads 0" zeros (Av_table.counters b);
+  Alcotest.(check (float 1e-9)) "hit ratio from a's own tallies" 0.5 (Av_table.hit_ratio a);
+  let c = Avc.create ~capacity:4 ~name:"t.twin" () and d = Avc.create ~capacity:4 ~name:"t.twin" () in
+  Avc.add c 1 1;
+  ignore (Avc.find c 1);
+  Alcotest.(check (list (pair string int))) "cache d reads 0" zeros (Avc.counters d);
+  Obs.with_disabled (fun () ->
+      Avc.add d 1 1;
+      ignore (Avc.find d 1);
+      Avc.flush d;
+      Av_table.set b ~subj:(Av_table.subject_sid b gen_subject) ~obj:1 7;
+      ignore (Av_table.find b ~subj ~obj:1));
+  Alcotest.(check (list (pair string int))) "obs off: cache d still 0" zeros (Avc.counters d);
+  Alcotest.(check (list (pair string int))) "obs off: table b still 0" zeros (Av_table.counters b)
 
 (* ----- Revocation through every mutating entry point ----- *)
 
@@ -307,6 +422,57 @@ let test_salvage_invalidates_caches () =
   Alcotest.(check bool) "post-salvage check re-derived its verdict" true
     (insertions_after > insertions_before)
 
+(* ----- Cache status reports this kernel's caches only ----- *)
+
+let boot_alice () =
+  let system = System.create Config.kernel_6180 in
+  ignore
+    (System.add_account system ~person:"Alice" ~project:"Dev" ~password:"pw"
+       ~clearance:Label.unclassified);
+  match System.login system ~person:"Alice" ~project:"Dev" ~password:"pw" with
+  | Ok handle -> (system, handle)
+  | Error e -> Alcotest.fail (System.login_error_to_string e)
+
+let cache_report system ~handle =
+  match Api.Call.dispatch system ~handle Api.Call.Cache_status with
+  | Ok (Api.Call.Cache_report { policy; assoc }) -> (policy, assoc)
+  | Ok _ -> Alcotest.fail "unexpected cache status reply"
+  | Error e -> Alcotest.fail (Api.error_to_string e)
+
+(* Two kernels in one domain share the registry's "cache.policy.*" and
+   "cache.hw.assoc.*" counters; each one's [Cache_status] must still
+   report its own caches alone.  The idle kernel boots with obs off,
+   so its own boot and login leave its tallies at 0. *)
+let test_cache_status_per_kernel () =
+  let idle, idle_handle = Obs.with_disabled boot_alice in
+  Obs.set_enabled true;
+  let busy, busy_handle = boot_alice () in
+  let segno =
+    match
+      User_env.create_segment_at busy ~handle:busy_handle ~path:">udd>Dev>Alice>scratch"
+        ~acl:(Acl.of_strings [ ("Alice.Dev.*", "rw") ])
+        ~label:Label.unclassified
+    with
+    | Ok segno -> segno
+    | Error e -> Alcotest.fail (User_env.error_to_string e)
+  in
+  for offset = 0 to 3 do
+    match Gate_calls.write_word busy ~handle:busy_handle ~segno ~offset ~value:offset with
+    | Ok () -> ignore (Gate_calls.read_word busy ~handle:busy_handle ~segno ~offset)
+    | Error e -> Alcotest.fail (Api.error_to_string e)
+  done;
+  let reading report field = List.assoc field report in
+  let busy_policy, busy_assoc = cache_report busy ~handle:busy_handle in
+  Alcotest.(check bool) "the busy kernel's caches hit" true
+    (reading busy_policy "hits" > 0 && reading busy_assoc "hits" > 0);
+  let policy, assoc = cache_report idle ~handle:idle_handle in
+  Alcotest.(check (list (pair string int))) "idle kernel: no policy hits or insertions"
+    [ ("hits", 0); ("insertions", 0) ]
+    [ ("hits", reading policy "hits"); ("insertions", reading policy "insertions") ];
+  Alcotest.(check (list (pair string int))) "idle kernel: no assoc hits or insertions"
+    [ ("hits", 0); ("insertions", 0) ]
+    [ ("hits", reading assoc "hits"); ("insertions", reading assoc "insertions") ]
+
 (* ----- The 100-seed parity property -----
 
    Random interleavings of mutations, revocations and flush storms;
@@ -438,14 +604,13 @@ let test_parity_100_seeds () =
 let suite =
   [
     Alcotest.test_case "avc: find/add basics" `Quick test_avc_basics;
-    Alcotest.test_case "avc: invalidate object" `Quick test_avc_invalidate_object;
-    Alcotest.test_case "avc: invalidate all" `Quick test_avc_invalidate_all;
     Alcotest.test_case "avc: setfaults clears only the key's slot" `Quick test_avc_invalidate_key;
     Alcotest.test_case "avc: flush probe storms" `Quick test_avc_flush_probe;
     Alcotest.test_case "avc: direct-mapped displacement" `Quick test_avc_direct_mapped_displacement;
     Alcotest.test_case "avc: capacity rounds to power of two" `Quick test_avc_capacity_rounding;
-    Alcotest.test_case "avc: keys skip stale entries" `Quick test_avc_keys_skip_stale;
+    test_avc_model;
     Alcotest.test_case "gen: dense ids; negative refused" `Quick test_gen_dense_ids;
+    Alcotest.test_case "tallies: per instance; obs off reads 0" `Quick test_tallies_per_instance;
     Alcotest.test_case "revocation: set_acl" `Quick test_set_acl_revokes;
     Alcotest.test_case "revocation: raw_set_label" `Quick test_raw_set_label_revokes;
     Alcotest.test_case "revocation: delete" `Quick test_delete_revokes;
@@ -453,6 +618,7 @@ let suite =
       test_set_brackets_applies_on_cached_path;
     Alcotest.test_case "revocation: rename keeps parity" `Quick test_rename_keeps_parity;
     Alcotest.test_case "salvage invalidates cached verdicts" `Quick test_salvage_invalidates_caches;
+    Alcotest.test_case "cache status: this kernel's caches only" `Quick test_cache_status_per_kernel;
     Alcotest.test_case "revocation: building ACLs or booting revokes nothing" `Quick
       test_acl_construction_revokes_nothing;
     Alcotest.test_case "parity: 100 seeds incl. flush storms" `Quick test_parity_100_seeds;

@@ -265,7 +265,7 @@ let scripted_run ?(probe = ignore) ~trace () =
          Sim.sched_name = "fifo-q100";
          sched_enqueue = (fun pid -> Queue.push pid ready);
          sched_select = (fun ~vp:_ -> Queue.take_opt ready);
-         sched_quantum = (fun _ -> Some 100);
+         sched_quantum = (fun _ -> 100);
          sched_quantum_expired = (fun _ ~preempted:_ -> ());
          sched_blocked = ignore;
          sched_retired = ignore;

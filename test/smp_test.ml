@@ -59,6 +59,56 @@ let test_ptw_front_per_cpu () =
   Smp.connect_flush_all plant;
   Alcotest.(check bool) "flush empties every front" false (Smp.ptw_touch plant ~page)
 
+(* Eviction is setfaults for every PTW lookaside: page control wired
+   to a 2-CPU plant as [Workload] wires it, an eviction clears the
+   victim's entry from both CPUs' fronts in the same step, and leaves
+   an untouched page's entries warm. *)
+let test_eviction_clears_every_front () =
+  let module Pc = Multics_vm.Page_control in
+  let module Mm = Multics_mm in
+  let sim = Multics_proc.Sim.create ~cost:Cost.h6180 ~virtual_processors:2 in
+  let mem = Mm.Memory.create ~cost:Cost.h6180 ~core:2 ~bulk:4 ~disk:8 in
+  let pc = Pc.create sim ~mem ~discipline:Pc.Sequential in
+  let plant = Smp.create ~ncpus:2 ~cost:Cost.h6180 () in
+  Pc.set_on_evict pc (fun page -> Smp.ptw_invalidate plant ~page);
+  let page n = Mm.Page_id.make ~seg_uid:1 ~page_no:n in
+  let reference pages =
+    ignore
+      (Multics_proc.Sim.spawn sim ~name:"toucher" (fun pid ->
+           List.iter (fun n -> ignore (Pc.reference pc ~pid ~page:(page n))) pages));
+    Multics_proc.Sim.run sim
+  in
+  let touch_both sid =
+    List.map
+      (fun cpu ->
+        Smp.set_current plant cpu;
+        Smp.ptw_touch plant ~page:sid)
+      [ 0; 1 ]
+  in
+  let in_core n =
+    match Mm.Memory.location mem (page n) with
+    | Some block -> Mm.Level.equal (Mm.Block.level block) Mm.Level.Core
+    | None -> false
+  in
+  reference [ 0; 1 ];
+  let sid0 = Pc.page_sid pc (page 0) and sid1 = Pc.page_sid pc (page 1) in
+  ignore (touch_both sid0);
+  ignore (touch_both sid1);
+  Alcotest.(check (list bool)) "both fronts warm" [ true; true ] (touch_both sid0);
+  (* A third page in a two-frame core forces one eviction. *)
+  reference [ 2 ];
+  let victim, survivor =
+    match (in_core 0, in_core 1) with
+    | false, true -> (sid0, sid1)
+    | true, false -> (sid1, sid0)
+    | _ -> Alcotest.fail "expected exactly one of pages 0 and 1 evicted"
+  in
+  Alcotest.(check (list bool)) "victim misses on both CPUs" [ false; false ] (touch_both victim);
+  Alcotest.(check (list bool)) "untouched page still hits on both CPUs" [ true; true ]
+    (touch_both survivor);
+  Alcotest.(check bool) "page control's own lookaside vouches only for core" true
+    (Pc.check_ptw_invariant pc)
+
 (* ----- The directed stale-Permit race -----
 
    Warm two CPUs' associative memories on the same segment, revoke the
@@ -381,4 +431,6 @@ let suite =
     Alcotest.test_case "multi-CPU run deterministic" `Quick test_multi_cpu_run_deterministic;
     Alcotest.test_case "CAM keys are exact: no aliasing 4096 segnos apart" `Quick
       test_cam_keys_exact;
+    Alcotest.test_case "eviction clears every CPU's PTW front" `Quick
+      test_eviction_clears_every_front;
   ]
